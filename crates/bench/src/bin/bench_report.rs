@@ -1,8 +1,7 @@
 //! Standalone kernel benchmark reporter.
 //!
-//! Times the perf-critical kernels with a self-contained harness (criterion
-//! is a dev-dependency, so binaries do their own calibration) and writes a
-//! machine-readable `BENCH_kernels.json` — one record per measurement:
+//! Times the perf-critical kernels with a self-contained calibrating
+//! harness and writes a machine-readable `BENCH_kernels.json` — one record per measurement:
 //! `{ "name", "size", "ns_per_iter", "threads" }`.
 //!
 //! The interesting ratios, printed at the end:

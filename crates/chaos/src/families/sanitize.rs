@@ -1,5 +1,5 @@
 //! Determinism-sanitizer chaos: the `par` runtime sanitizer
-//! (DESIGN.md §10.6) cross-checks every fan-out's chunk schedule and
+//! (DESIGN.md §10.5) cross-checks every fan-out's chunk schedule and
 //! composition order against the single-thread reference. This family
 //! proves both directions: a planted out-of-order reduction *is*
 //! caught, and the real workloads — the fork-join helpers themselves

@@ -94,10 +94,14 @@ impl MappedLayer {
     /// Kept as the per-cell reference for
     /// [`MappedNetwork::load_effective_weights`], whose plane-backed bulk
     /// copy must reproduce this value bit-for-bit (asserted in tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    // PANIC-OK: test-only reference path; `tile_of` maps logical
-    // coordinates onto the tile that covers them by construction.
-    #[allow(clippy::expect_used)]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "per-cell reference used only by tests")
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "test-only reference path; `tile_of` maps logical coordinates onto the tile that covers them by construction"
+    )]
     fn effective(&self, chip: &TiledChip, row: usize, col: usize, tile_size: usize) -> f64 {
         let ti = self.tile_of(row, col, tile_size);
         let t = &self.tiles[ti];
@@ -368,9 +372,10 @@ impl MappedNetwork {
         let mut layers = Vec::with_capacity(selected.len());
         for &k in &selected {
             let layer_index = weight_layers[k];
-            // PANIC-OK: `layer_index` comes from `weight_layer_indices` on
-            // this same network, which only lists layers with parameters.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "`layer_index` comes from `weight_layer_indices` on this same network, which only lists layers with parameters"
+            )]
             let params = net
                 .layer_params_mut(layer_index)
                 .expect("weight layer has parameters");

@@ -105,7 +105,10 @@ impl AdaptiveDetector {
         // Row direction: bisect row ranges; a mismatch on any column keeps
         // the range alive. Terminal (single-row) ranges flag per column.
         let mut flagged_rows: Vec<(usize, Vec<bool>)> = Vec::new();
-        #[allow(clippy::single_range_in_vec_init)] // a work stack seeded with the root range
+        #[expect(
+            clippy::single_range_in_vec_init,
+            reason = "a work stack seeded with the root range"
+        )]
         let mut stack = vec![0..rows];
         while let Some(range) = stack.pop() {
             cycles += 1;
@@ -135,7 +138,10 @@ impl AdaptiveDetector {
 
         // Column direction, symmetric.
         let mut flagged_cols: Vec<(usize, Vec<bool>)> = Vec::new();
-        #[allow(clippy::single_range_in_vec_init)]
+        #[expect(
+            clippy::single_range_in_vec_init,
+            reason = "a work stack seeded with the root range"
+        )]
         let mut stack = vec![0..cols];
         while let Some(range) = stack.pop() {
             cycles += 1;

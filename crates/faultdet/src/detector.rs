@@ -420,7 +420,10 @@ impl OnlineFaultDetector {
     /// incremental aggregates (`expected_*_group_sums_cached`, exact integer
     /// equality with the dense sweep) instead of a dense per-cell delta
     /// vector; the comparison results are identical either way.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one private pass shared by both fault kinds"
+    )]
     fn kind_pass(
         &self,
         xbar: &mut Crossbar,

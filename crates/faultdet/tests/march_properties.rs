@@ -1,5 +1,9 @@
 //! Property tests for the March baseline and its relationship to the
 //! quiescent-voltage method.
+#![expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helpers outside #[test] fns fail loudly by design"
+)]
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
 use faultdet::march::MarchTest;

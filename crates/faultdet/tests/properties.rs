@@ -1,4 +1,8 @@
 //! Property-based and trend tests for the on-line fault detector.
+#![expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helpers outside #[test] fns fail loudly by design"
+)]
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
 use faultdet::metrics::DetectionReport;

@@ -23,7 +23,6 @@ use crate::diag::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::model::SourceFile;
 
-use super::panic_policy::marker_has_text;
 use super::{lookback, path_allowed, Check};
 
 const MARKER: &str = "CAST-OK:";
@@ -90,9 +89,7 @@ impl Check for FloatSoundness {
             if file.in_test_code(tok.line) {
                 continue;
             }
-            if file.scan.has_marker_near(tok.line, lb, MARKER)
-                && marker_has_text(file, tok.line, lb, MARKER)
-            {
+            if marker_has_text(file, tok.line, lb) {
                 continue;
             }
             out.push(Finding {
@@ -107,6 +104,21 @@ impl Check for FloatSoundness {
             });
         }
     }
+}
+
+/// `CAST-OK:` followed by a non-empty reason in a comment covering
+/// `line` or one of the `lb` lines above it. A bare marker does not
+/// count.
+fn marker_has_text(file: &SourceFile, line: usize, lb: usize) -> bool {
+    let lo = line.saturating_sub(lb);
+    file.scan.comments.iter().any(|c| {
+        let span = c.text.matches('\n').count();
+        let covers = (lo..=line).any(|l| l >= c.line && l <= c.line + span);
+        covers
+            && c.text
+                .find(MARKER)
+                .is_some_and(|at| !c.text[at + MARKER.len()..].trim().is_empty())
+    })
 }
 
 /// Is the literal text an exact zero (`0.0`, `0.`, `0f32`, `0e0`, …)?
@@ -222,6 +234,12 @@ mod tests {
             "fn f(g: f64) -> f32 {\n    // CAST-OK: plane cache is f32 by design\n    g as f32\n}",
         );
         assert!(ok.is_empty(), "{ok:?}");
+        let bare = run_cfg(
+            cfg,
+            "crates/demo/src/plane.rs",
+            "fn f(g: f64) -> f32 {\n    // CAST-OK:\n    g as f32\n}",
+        );
+        assert_eq!(bare.len(), 1, "a bare marker justifies nothing: {bare:?}");
         let off_path = run_cfg(
             cfg,
             "crates/demo/src/other.rs",

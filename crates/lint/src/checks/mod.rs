@@ -6,9 +6,9 @@
 //!
 //! * `allow = ["path/prefix", ...]` — workspace-relative path prefixes
 //!   this check never fires on;
-//! * annotation markers (`PANIC-OK:` / `CAST-OK:` / `SAFETY:`) justify a
-//!   site when they appear in a comment on the same line or within
-//!   `lookback` (default 5) lines above it.
+//! * the `CAST-OK:` annotation marker justifies a site when it appears
+//!   in a comment on the same line or within `lookback` (default 5)
+//!   lines above it.
 //!
 //! Adding a check: implement [`Check`], give it a unique short id, and
 //! add it to [`catalog`]. Fixture coverage (one failing + one passing
@@ -25,10 +25,8 @@ mod determinism;
 mod float_soundness;
 mod obs_policy;
 mod obs_schema;
-mod panic_policy;
 mod par_capture;
 mod resume_panic;
-mod unsafe_audit;
 mod workspace;
 
 pub use cycle_audit::CycleAudit;
@@ -36,15 +34,13 @@ pub use determinism::Determinism;
 pub use float_soundness::FloatSoundness;
 pub use obs_policy::ObsPolicy;
 pub use obs_schema::ObsSchema;
-pub use panic_policy::PanicPolicy;
 pub use par_capture::ParCapture;
 pub use resume_panic::ResumePanic;
-pub use unsafe_audit::UnsafeAudit;
 pub use workspace::WorkspaceConsistency;
 
 /// A single static-analysis policy.
 pub trait Check {
-    /// Short stable id (`"P1"`).
+    /// Short stable id (`"D1"`).
     fn id(&self) -> &'static str;
 
     /// One-line description for reports and docs.
@@ -76,9 +72,7 @@ pub fn catalog() -> Vec<Box<dyn Check>> {
         Box::new(FloatSoundness),
         Box::new(ObsPolicy),
         Box::new(ObsSchema),
-        Box::new(PanicPolicy),
         Box::new(ResumePanic),
-        Box::new(UnsafeAudit),
         Box::new(WorkspaceConsistency),
     ]
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 /// One policy violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Check id (`"P1"`, `"D1"`, …).
+    /// Check id (`"D1"`, `"R1"`, …).
     pub check: &'static str,
     /// Workspace-relative `/`-separated path (empty for workspace-level
     /// findings).

@@ -13,7 +13,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut root: Option<PathBuf> = None;
     let mut config: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -26,10 +25,6 @@ fn main() -> ExitCode {
             "--config" => match args.next() {
                 Some(v) => config = Some(PathBuf::from(v)),
                 None => return usage("--config requires a file argument"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage("--baseline requires a file argument"),
             },
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -64,9 +59,6 @@ fn main() -> ExitCode {
 
     match ftt_lint::run(&root, config.as_deref()) {
         Ok(report) => {
-            if let Some(base_path) = baseline {
-                return diff_against_baseline(&report, &base_path, json);
-            }
             if json {
                 print!("{}", report.to_json());
             } else {
@@ -82,63 +74,6 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// `--baseline` mode: only findings *not* in the recorded baseline fail
-/// the gate; recorded debt is tolerated (and counted).
-fn diff_against_baseline(
-    report: &ftt_lint::diag::Report,
-    base_path: &std::path::Path,
-    json: bool,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(base_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ftt-lint: cannot read baseline {}: {e}", base_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let base = match ftt_lint::baseline::Baseline::parse(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ftt-lint: bad baseline {}: {e}", base_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let (fresh, suppressed) = base.diff(report);
-    if json {
-        // In baseline mode the JSON report carries only the *new*
-        // findings (same grammar as a plain report).
-        let owned: Vec<ftt_lint::diag::Finding> = fresh.iter().map(|f| (*f).clone()).collect();
-        let sub = ftt_lint::diag::Report::with_warnings(
-            owned,
-            report.warnings.clone(),
-            report.files_scanned,
-            report.checks.clone(),
-        );
-        print!("{}", sub.to_json());
-    } else {
-        for f in &fresh {
-            if f.file.is_empty() {
-                println!("{} workspace: {}", f.check, f.message);
-            } else if f.line == 0 {
-                println!("{} {}: {}", f.check, f.file, f.message);
-            } else {
-                println!("{} {}:{}: {}", f.check, f.file, f.line, f.message);
-            }
-        }
-        println!(
-            "ftt-lint: {} new finding(s), {} suppressed by baseline {}",
-            fresh.len(),
-            suppressed,
-            base_path.display()
-        );
-    }
-    if fresh.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
     }
 }
 
@@ -158,13 +93,11 @@ OPTIONS:
                      diagnostics
     --root DIR       workspace root (default: nearest [workspace] above cwd)
     --config FILE    lint.toml path (default: <root>/lint.toml)
-    --baseline FILE  diff against a recorded --json report: exit non-zero
-                     only on findings not present in the baseline
     -h, --help       this help
 
 CHECKS (per-file):
-    P1 panic-policy            D1 determinism        F1 float-soundness
-    S1 unsafe-audit            O1 obs-naming         W1 workspace-consistency
+    D1 determinism             F1 float-soundness    O1 obs-naming
+    W1 workspace-consistency
 CHECKS (semantic, cross-crate):
     C1 par-capture-determinism O2 obs-schema         R1 resume-panic-freedom
     E2 cycle-accounting

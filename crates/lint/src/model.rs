@@ -6,7 +6,8 @@
 //! examples / benches / binaries). Each file is scanned once
 //! ([`crate::lexer`]) and annotated with *scopes*: the line ranges of
 //! `#[cfg(test)]` items and of items carrying panic-related
-//! `#[allow(...)]` attributes. Checks consume this shared context.
+//! `#[expect(...)]` / `#[allow(...)]` attributes. Checks consume this
+//! shared context.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,14 +23,16 @@ pub enum FileRole {
     Support,
 }
 
-/// The clippy lint names whose `#[allow(...)]` requires a `PANIC-OK:`
-/// justification (the panic policy's escape hatches).
-pub const PANIC_ALLOW_LINTS: [&str; 5] = [
+/// The panic lints `[workspace.lints]` denies; an `#[expect(...)]` or
+/// `#[allow(...)]` naming one of them is the panic policy's escape
+/// hatch (and R1's unit of justification).
+pub const PANIC_ALLOW_LINTS: [&str; 6] = [
     "clippy::unwrap_used",
     "clippy::expect_used",
     "clippy::panic",
-    "clippy::indexing_slicing",
+    "clippy::todo",
     "clippy::unreachable",
+    "clippy::unimplemented",
 ];
 
 /// A line range `[start, end]` (1-based, inclusive) attached to an item.
@@ -61,9 +64,9 @@ pub struct SourceFile {
     pub scan: Scan,
     /// Line ranges under `#[cfg(test)]` (plus `#[test]` functions).
     pub test_scopes: Vec<Scope>,
-    /// Line ranges of items carrying a panic-related `#[allow]`, along
-    /// with the attribute's own line (for justification lookup).
-    pub panic_allow_scopes: Vec<(Scope, usize)>,
+    /// Line ranges of items carrying a panic-related `#[expect]` or
+    /// `#[allow]`.
+    pub panic_allow_scopes: Vec<Scope>,
 }
 
 impl SourceFile {
@@ -72,11 +75,10 @@ impl SourceFile {
         self.test_scopes.iter().any(|s| s.contains(line))
     }
 
-    /// Whether `line` is covered by a panic-related `#[allow]` item.
+    /// Whether `line` is covered by a panic-related `#[expect]`/`#[allow]`
+    /// item.
     pub fn in_panic_allow(&self, line: usize) -> bool {
-        self.panic_allow_scopes
-            .iter()
-            .any(|(s, _)| s.contains(line))
+        self.panic_allow_scopes.iter().any(|s| s.contains(line))
     }
 }
 
@@ -265,7 +267,7 @@ fn item_end_line(scan: &Scan, from: usize) -> usize {
 }
 
 /// Derive test scopes and panic-allow scopes from a scan.
-fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
+fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<Scope>) {
     let mut tests = Vec::new();
     let mut allows = Vec::new();
     for (i, tok) in scan.tokens.iter().enumerate() {
@@ -298,7 +300,7 @@ fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
                     end: item_end_line(scan, i + 1),
                 }
             };
-            allows.push((scope, tok.line));
+            allows.push(scope);
         }
     }
     (tests, allows)
@@ -306,7 +308,7 @@ fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
 
 /// Test seam: expose scope analysis to the check unit tests.
 #[cfg(test)]
-pub(crate) fn analyze_scopes_for_tests(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
+pub(crate) fn analyze_scopes_for_tests(scan: &Scan) -> (Vec<Scope>, Vec<Scope>) {
     analyze_scopes(scan)
 }
 
@@ -455,12 +457,14 @@ name = "rootpkg"
 
     #[test]
     fn allow_scopes_end_at_matching_brace_or_semicolon() {
-        let src = "#[allow(clippy::unwrap_used)]\nfn f() {\n    a.unwrap();\n}\nfn g() {\n    b.unwrap();\n}\n";
+        let src = "#[allow(clippy::unwrap_used)]\nfn f() {\n    a.unwrap();\n}\nfn g() {\n    b.unwrap();\n}\nfn h() {\n    #[expect(clippy::expect_used, reason = \"r\")]\n    c.expect(\"x\");\n}\n";
         let scan = lexer::scan(src);
         let (_, allows) = analyze_scopes(&scan);
-        assert_eq!(allows.len(), 1);
-        assert!(allows[0].0.contains(3));
-        assert!(!allows[0].0.contains(6));
+        assert_eq!(allows.len(), 2);
+        assert!(allows[0].contains(3));
+        assert!(!allows[0].contains(6));
+        assert!(allows[1].contains(10), "#[expect] opens a scope too");
+        assert!(!allows[1].contains(11));
     }
 
     #[test]

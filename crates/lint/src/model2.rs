@@ -55,7 +55,7 @@ pub struct CallRef {
     pub line: usize,
 }
 
-/// One panic site inside a fn body (same shapes P1 recognizes).
+/// One panic site inside a fn body (a shape the workspace panic lints deny).
 #[derive(Debug, Clone)]
 pub struct PanicSite {
     /// Rendered site (`".unwrap()"`, `"panic!"`, …).
@@ -586,7 +586,7 @@ impl SemanticModel {
 }
 
 /// Scan one fn body for calls, panic sites, and `par` helper crossings.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "private scanner threading per-file context")]
 fn scan_body(
     file: &SourceFile,
     toks: &[Token],
@@ -607,7 +607,7 @@ fn scan_body(
         }
         let name = t.text.as_str();
 
-        // Panic sites (the same shapes P1 recognizes).
+        // Panic sites (the shapes the workspace panic lints deny).
         if (name == "unwrap" || name == "expect")
             && i > 0
             && toks[i - 1].text == "."

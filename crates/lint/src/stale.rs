@@ -12,19 +12,19 @@
 //!   (per-file passes over the allowed files only, plus the workspace
 //!   and semantic passes), and the entry is stale when no shadow
 //!   finding falls under the prefix.
-//! * **`stale-annotation`** — a `PANIC-OK:` / `CAST-OK:` / `SAFETY:`
-//!   comment with no matching site (panic shape / `as` cast / `unsafe`)
-//!   inside its window: the enclosing comment run plus the check's
-//!   `lookback` below it. The marker must open the comment's content —
-//!   prose *mentioning* a marker does not count.
+//! * **`stale-annotation`** — a `CAST-OK:` comment with no `as` cast
+//!   inside its window: the enclosing comment run plus F1's `lookback`
+//!   below it. The marker must open the comment's content — prose
+//!   *mentioning* a marker does not count. (Stale panic-lint
+//!   `#[expect]`s are rustc's `unfulfilled_lint_expectations`.)
 
 use std::path::Path;
 
-use crate::checks::Check;
+use crate::checks::{lookback, Check};
 use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::TokenKind;
-use crate::model::{SourceFile, Workspace, PANIC_ALLOW_LINTS};
+use crate::model::{SourceFile, Workspace};
 use crate::model2::SemanticModel;
 
 /// Compute all stale-suppression warnings for a finished run.
@@ -102,83 +102,14 @@ fn stale_allows(
     }
 }
 
-/// The annotation markers and the site shape each one justifies.
-struct MarkerSpec {
-    marker: &'static str,
-    /// Check whose `lookback` sizes the window below the comment run.
-    check_id: &'static str,
-}
+const MARKER: &str = "CAST-OK:";
 
-const MARKERS: [MarkerSpec; 3] = [
-    MarkerSpec {
-        marker: "PANIC-OK:",
-        check_id: "P1",
-    },
-    MarkerSpec {
-        marker: "CAST-OK:",
-        check_id: "F1",
-    },
-    MarkerSpec {
-        marker: "SAFETY:",
-        check_id: "S1",
-    },
-];
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Lines of sites a marker can justify, per kind.
-struct SiteLines {
-    panic: Vec<usize>,
-    /// Lines of panic-related `#[allow(..)]` attributes (a `PANIC-OK:`
-    /// may sit up to 2 lines above one — P1's attribute grammar).
-    panic_allow_attr: Vec<usize>,
-    cast: Vec<usize>,
-    unsafe_: Vec<usize>,
-}
-
-fn site_lines(file: &SourceFile) -> SiteLines {
-    let toks = &file.scan.tokens;
-    let mut s = SiteLines {
-        panic: Vec::new(),
-        panic_allow_attr: Vec::new(),
-        cast: Vec::new(),
-        unsafe_: Vec::new(),
-    };
-    for (i, t) in toks.iter().enumerate() {
-        match t.kind {
-            TokenKind::Attr if PANIC_ALLOW_LINTS.iter().any(|l| t.text.contains(l)) => {
-                s.panic_allow_attr.push(t.line);
-            }
-            TokenKind::Ident => match t.text.as_str() {
-                "unwrap" | "expect"
-                    if i > 0
-                        && toks[i - 1].text == "."
-                        && toks.get(i + 1).map(|n| n.text == "(").unwrap_or(false) =>
-                {
-                    s.panic.push(t.line);
-                }
-                "as" => s.cast.push(t.line),
-                "unsafe" => s.unsafe_.push(t.line),
-                name if PANIC_MACROS.contains(&name)
-                    && toks.get(i + 1).map(|n| n.text == "!").unwrap_or(false) =>
-                {
-                    s.panic.push(t.line);
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    s
-}
-
-/// One comment run: consecutive comment lines merged, with every
-/// marker annotation found at content-start inside it.
+/// One comment run: consecutive comment lines merged, with the line of
+/// every `CAST-OK:` annotation found at content-start inside it.
 struct CommentRun {
     start: usize,
     end: usize,
-    /// (marker index into MARKERS, line) of each annotation.
-    annotations: Vec<(usize, usize)>,
+    annotations: Vec<usize>,
 }
 
 fn comment_runs(file: &SourceFile) -> Vec<CommentRun> {
@@ -188,14 +119,13 @@ fn comment_runs(file: &SourceFile) -> Vec<CommentRun> {
         let (start, end) = (c.line, c.line + span);
         let mut annotations = Vec::new();
         for (off, line_text) in c.text.split('\n').enumerate() {
-            let content =
-                line_text.trim_start_matches(|ch: char| matches!(ch, '/' | '*' | '!') || ch.is_whitespace());
-            for (mi, spec) in MARKERS.iter().enumerate() {
-                if content.starts_with(spec.marker)
-                    && !content[spec.marker.len()..].trim().is_empty()
-                {
-                    annotations.push((mi, start + off));
-                }
+            let content = line_text
+                .trim_start_matches(|ch: char| matches!(ch, '/' | '*' | '!') || ch.is_whitespace());
+            if content
+                .strip_prefix(MARKER)
+                .is_some_and(|reason| !reason.trim().is_empty())
+            {
+                annotations.push(start + off);
             }
         }
         match runs.last_mut() {
@@ -217,42 +147,33 @@ fn comment_runs(file: &SourceFile) -> Vec<CommentRun> {
 }
 
 fn stale_annotations(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
+    let lb = lookback(cfg, "F1");
     for file in &ws.files {
         let runs = comment_runs(file);
         if runs.iter().all(|r| r.annotations.is_empty()) {
             continue;
         }
-        let sites = site_lines(file);
+        let casts: Vec<usize> = file
+            .scan
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident && t.text == "as")
+            .map(|t| t.line)
+            .collect();
         for run in &runs {
-            for &(mi, line) in &run.annotations {
-                let spec = &MARKERS[mi];
-                let lb = cfg
-                    .int(&format!("checks.{}", spec.check_id), "lookback", 5)
-                    .max(0) as usize;
-                let lo = run.start;
-                let hi = run.end + lb;
-                let used = match spec.marker {
-                    "PANIC-OK:" => {
-                        sites.panic.iter().any(|&l| l >= lo && l <= hi)
-                            || sites
-                                .panic_allow_attr
-                                .iter()
-                                .any(|&l| l + 2 >= lo && l <= hi)
-                    }
-                    "CAST-OK:" => sites.cast.iter().any(|&l| l >= lo && l <= hi),
-                    _ => sites.unsafe_.iter().any(|&l| l >= lo && l <= hi),
-                };
-                if !used {
-                    out.push(Finding {
-                        check: "stale-annotation",
-                        file: file.rel_path.clone(),
-                        line,
-                        message: format!(
-                            "`{}` annotation justifies no site within its window — remove it",
-                            spec.marker
-                        ),
-                    });
-                }
+            let (lo, hi) = (run.start, run.end + lb);
+            if casts.iter().any(|&l| l >= lo && l <= hi) {
+                continue;
+            }
+            for &line in &run.annotations {
+                out.push(Finding {
+                    check: "stale-annotation",
+                    file: file.rel_path.clone(),
+                    line,
+                    message: format!(
+                        "`{MARKER}` annotation justifies no site within its window — remove it"
+                    ),
+                });
             }
         }
     }
@@ -284,7 +205,7 @@ mod tests {
     #[test]
     fn used_annotations_are_not_reported() {
         let ws = ws_of(
-            "pub fn f(x: Option<u8>) -> u8 {\n    // PANIC-OK: x checked by caller\n    x.unwrap()\n}\nfn g(v: f64) -> u32 {\n    // CAST-OK: bounded by construction\n    v as u32\n}\n",
+            "fn g(v: f64) -> u32 {\n    // CAST-OK: bounded by construction\n    v as u32\n}\n",
         );
         let cfg = Config::parse("").expect("cfg");
         let mut out = Vec::new();
@@ -295,19 +216,19 @@ mod tests {
     #[test]
     fn orphaned_annotation_is_reported() {
         let ws = ws_of(
-            "// PANIC-OK: this justified an unwrap that was refactored away\npub fn f() -> u8 { 0 }\n",
+            "// CAST-OK: this justified a cast that was refactored away\npub fn f() -> u8 { 0 }\n",
         );
         let cfg = Config::parse("").expect("cfg");
         let mut out = Vec::new();
         stale_annotations(&ws, &cfg, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("PANIC-OK:"));
+        assert!(out[0].message.contains("CAST-OK:"));
     }
 
     #[test]
     fn prose_mentioning_a_marker_is_not_an_annotation() {
         let ws = ws_of(
-            "//! Checks use markers like PANIC-OK: reasons to justify sites.\npub fn f() -> u8 { 0 }\n",
+            "//! Checks use markers like CAST-OK: reasons to justify sites.\npub fn f() -> u8 { 0 }\n",
         );
         let cfg = Config::parse("").expect("cfg");
         let mut out = Vec::new();

@@ -1,7 +1,13 @@
 //! Fixture-tree integration suite: runs the full catalog over
 //! `tests/fixtures/ws` (a miniature two-crate workspace with one
 //! deliberate violation per check in `bad` and the matching clean
-//! construction in `good`) and snapshots the sorted JSON report.
+//! construction in `good`) and snapshots the sorted JSON report. It
+//! also runs clippy over `tests/fixtures/clippy` to show the workspace
+//! lints reject the generic-policy cases ftt-lint no longer checks.
+#![expect(
+    clippy::expect_used,
+    reason = "test-fixture helpers outside #[test] fns fail loudly by design"
+)]
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,7 +23,7 @@ fn report() -> ftt_lint::diag::Report {
 #[test]
 fn every_check_has_a_failing_fixture() {
     let counts = report().counts();
-    for id in ["P1", "D1", "F1", "S1", "O1", "W1", "C1", "O2", "R1", "E2"] {
+    for id in ["D1", "F1", "O1", "W1", "C1", "O2", "R1", "E2"] {
         assert!(
             counts.get(id).copied().unwrap_or(0) > 0,
             "check {id} produced no findings on the violation fixture: {counts:?}"
@@ -107,7 +113,7 @@ fn binary_exits_nonzero_on_violations_and_zero_on_clean() {
 fn stale_suppressions_surface_as_warnings() {
     let rep = report();
     let kinds: Vec<&str> = rep.warnings.iter().map(|w| w.check).collect();
-    for kind in ["stale-allow", "stale-annotation", "stale-exclude"] {
+    for kind in ["stale-allow", "stale-exclude"] {
         assert!(
             kinds.contains(&kind),
             "expected a {kind} warning, got {kinds:?}"
@@ -115,52 +121,6 @@ fn stale_suppressions_surface_as_warnings() {
     }
     // Warnings never affect the exit decision.
     assert!(!rep.is_clean(), "fixture still has findings");
-}
-
-#[test]
-fn baseline_diff_suppresses_known_findings() {
-    let bin = env!("CARGO_BIN_EXE_ftt-lint");
-    let snapshot =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/expected.json");
-
-    // Diffing the fixture tree against its own snapshot: nothing new.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline"])
-        .arg(&snapshot)
-        .output()
-        .expect("run ftt-lint --baseline");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("0 new finding(s)"), "stdout: {text}");
-
-    // An empty baseline suppresses nothing: every finding is new.
-    let empty = fixture_root().join("../empty-baseline.json");
-    std::fs::write(&empty, "{\n  \"findings\": []\n}\n").expect("write empty baseline");
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline"])
-        .arg(&empty)
-        .output()
-        .expect("run ftt-lint --baseline (empty)");
-    std::fs::remove_file(&empty).ok();
-    assert_eq!(out.status.code(), Some(1));
-
-    // A malformed baseline is a usage error, not a silent pass.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline", "/nonexistent/baseline.json"])
-        .output()
-        .expect("run ftt-lint --baseline (missing)");
-    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
@@ -172,4 +132,101 @@ fn human_rendering_carries_file_line_spans() {
         "diagnostics must carry file:line spans:\n{human}"
     );
     assert!(human.contains("finding(s)"));
+}
+
+/// The `[workspace.lints]` tables of a manifest as `section key = value`
+/// lines, comments and blank lines dropped.
+fn workspace_lints(manifest: &str) -> Vec<String> {
+    let mut section = "";
+    let mut out = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if section.starts_with("[workspace.lints")
+            && !line.is_empty()
+            && !line.starts_with('#')
+        {
+            out.push(format!("{section} {line}"));
+        }
+    }
+    out
+}
+
+#[test]
+fn clippy_rejects_every_generic_policy_case_in_the_fixture() {
+    let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let fixture = manifest_dir.join("tests/fixtures/clippy");
+
+    // The fixture must hold the workspace's lint policy, not a copy
+    // that has drifted from it.
+    let root_lints = workspace_lints(
+        &std::fs::read_to_string(manifest_dir.join("../../Cargo.toml")).expect("root manifest"),
+    );
+    let fixture_lints = workspace_lints(
+        &std::fs::read_to_string(fixture.join("Cargo.toml")).expect("fixture manifest"),
+    );
+    assert!(
+        !root_lints.is_empty(),
+        "root manifest has no [workspace.lints]"
+    );
+    assert_eq!(
+        fixture_lints, root_lints,
+        "fixture lint table drifted from the root"
+    );
+
+    let out = Command::new(env!("CARGO"))
+        .args([
+            "clippy",
+            "--offline",
+            "--quiet",
+            "--message-format=json",
+            "--manifest-path",
+        ])
+        .arg(fixture.join("Cargo.toml"))
+        .env(
+            "CARGO_TARGET_DIR",
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("clippy-fixture"),
+        )
+        .args(["--", "-D", "warnings"])
+        .output()
+        .expect("run cargo clippy on the fixture");
+    assert!(!out.status.success(), "clippy must reject the fixture");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+
+    // (lint code, first span's line) of every compiler message.
+    let after = |text: &str, key: &str| text.find(key).map(|at| at + key.len());
+    let fired: Vec<(String, usize)> = stdout
+        .lines()
+        .filter_map(|msg| {
+            let code_at = after(msg, "\"code\":{\"code\":\"")?;
+            let code = &msg[code_at..code_at + msg[code_at..].find('"')?];
+            let spans = &msg[after(msg, "\"spans\":[")?..];
+            let line_at = after(spans, "\"line_start\":")?;
+            let digits = spans[line_at..]
+                .split(|c: char| !c.is_ascii_digit())
+                .next()?;
+            Some((code.to_string(), digits.parse().ok()?))
+        })
+        .collect();
+
+    // Every `// LINT: <code>` line in the fixture source must fire.
+    let src = std::fs::read_to_string(fixture.join("src/lib.rs")).expect("fixture source");
+    let mut expected = 0;
+    for (i, line) in src.lines().enumerate() {
+        let Some((_, code)) = line.split_once("// LINT: ") else {
+            continue;
+        };
+        expected += 1;
+        let site = (code.trim().to_string(), i + 1);
+        assert!(
+            fired.contains(&site),
+            "expected {} at src/lib.rs:{}; clippy reported {fired:?}",
+            site.0,
+            site.1
+        );
+    }
+    assert_eq!(
+        expected, 5,
+        "one site per former P1/S1 case plus the stale #[expect]"
+    );
 }

@@ -3,12 +3,12 @@
 use std::collections::HashMap; // D1: unordered collection
 use std::time::Instant; // D1: wall clock
 
-/// P1: bare unwrap, no justification.
+/// Bare unwrap: clippy rejects it (tests/fixtures/clippy), ftt-lint does not.
 pub fn p1_unwrap(x: Option<u8>) -> u8 {
     x.unwrap()
 }
 
-/// P1: panic-lint allow without a PANIC-OK reason.
+/// Reason-less panic-lint allow: clippy rejects it, ftt-lint does not.
 #[allow(clippy::expect_used)]
 pub fn p1_allow(x: Option<u8>) -> u8 {
     x.expect("boom")
@@ -31,7 +31,7 @@ pub fn f1_cast(g: f64) -> f32 {
     g as f32
 }
 
-/// S1: unsafe without a SAFETY comment.
+/// `unsafe`: rustc rejects it (`unsafe_code = "forbid"`), ftt-lint does not.
 pub fn s1_unsafe(p: *const u8) -> u8 {
     unsafe { *p }
 }
@@ -102,7 +102,7 @@ pub fn o1_label(r: &dyn Registrar) {
     r.counter_labeled("o1_labeled_total", &[("Bad Key", "any value")]);
 }
 
-/// stale-annotation: the unwrap this once justified was refactored away.
+/// Not a marker any more: a stale panic justification is an unfulfilled `#[expect]`.
 // PANIC-OK: leftover justification with nothing to justify
 pub fn stale_marker() -> u8 {
     0

@@ -1,20 +1,11 @@
 //! The clean crate: one *negative* (passing) case per check.
 //!
-//! P1: justified panic sites. D1: ordered collections, scoped threads.
+//! D1: ordered collections, scoped threads.
 //! F1: exact-zero compares, epsilon helpers, annotated casts.
-//! S1: justified unsafe. O1: snake_case registry names.
+//! O1: snake_case registry names.
 //! W1: inherits workspace version/license and is mentioned in README.md.
 
 use std::collections::BTreeMap;
-
-/// P1 negative: a panic site with a justification, plus the
-/// attr-then-comment convention.
-pub fn head(xs: &[u8]) -> u8 {
-    assert!(!xs.is_empty(), "contract: xs non-empty");
-    #[allow(clippy::unwrap_used)]
-    // PANIC-OK: emptiness is rejected by the assert above.
-    *xs.first().unwrap()
-}
 
 /// D1 negative: deterministic collections and scoped threads only.
 pub fn ordered(pairs: &[(usize, usize)]) -> BTreeMap<usize, usize> {
@@ -36,12 +27,6 @@ pub fn sparsity(xs: &[f64]) -> f32 {
     ratio as f32
 }
 
-/// S1 negative: unsafe with its proof obligation written down.
-pub fn first_byte(p: *const u8) -> u8 {
-    // SAFETY: callers guarantee `p` is valid for reads of one byte.
-    unsafe { *p }
-}
-
 /// O1 negative: registry names in the snake_case grammar.
 pub fn register(r: &dyn Registrar) {
     r.counter("good_events_total");
@@ -56,16 +41,6 @@ pub trait Registrar {
     fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]);
     /// Open a span.
     fn span(&self, name: &str);
-}
-
-#[cfg(test)]
-mod tests {
-    // P1 exemption: test code may unwrap freely.
-    #[test]
-    fn unwrap_in_tests_is_fine() {
-        let v: Option<u8> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-    }
 }
 
 /// C1 negative: the closure touches only its parameter and locals, and
@@ -85,14 +60,14 @@ pub fn emit_used(sink: &mut Vec<Event>) {
 }
 
 /// R1 negative root: the one panic site on the path carries its
-/// justification (shared with P1's grammar).
+/// justification (the panic-lint `#[expect]` clippy also accepts).
 pub fn resume() {
     restore_step();
 }
 
 fn restore_step() {
     let v: Option<u8> = Some(0);
-    // PANIC-OK: seeded Some() two lines above.
+    #[expect(clippy::unwrap_used, reason = "seeded Some() on the line above")]
     let _ = v.unwrap();
 }
 

@@ -104,9 +104,10 @@ impl Dataset {
     /// Panics if `batch` is zero or exceeds the training split size. Library
     /// code that must not panic should use [`Dataset::try_train_batches`].
     pub fn train_batches(&self, batch: usize) -> TrainBatches<'_> {
-        // PANIC-OK: documented panicking convenience wrapper; the fallible
-        // variant below is what library flows use.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience wrapper; the fallible variant below is what library flows use"
+        )]
         self.try_train_batches(batch).expect("invalid batch size")
     }
 

@@ -25,9 +25,10 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        #[allow(clippy::expect_used)]
-        // PANIC-OK: documented `Layer::backward` contract — a training-mode
-        // forward must precede backward (see the trait's `# Panics` section).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `Layer::backward` contract — a training-mode forward must precede backward (see the trait's `# Panics` section)"
+        )]
         let mask = self
             .mask
             .take()

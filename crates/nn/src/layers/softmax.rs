@@ -50,9 +50,10 @@ impl Layer for Softmax {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        #[allow(clippy::expect_used)]
-        // PANIC-OK: documented `Layer::backward` contract — a training-mode
-        // forward must precede backward (see the trait's `# Panics` section).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `Layer::backward` contract — a training-mode forward must precede backward (see the trait's `# Panics` section)"
+        )]
         let y = self
             .cached_output
             .take()

@@ -135,9 +135,10 @@ pub fn magnitude_prune(net: &mut Network, fraction: f64) -> PruneMask {
 /// or any fraction is outside `[0, 1]`. Library code that must not panic
 /// should use [`try_magnitude_prune_per_layer`].
 pub fn magnitude_prune_per_layer(net: &mut Network, fractions: &[f64]) -> PruneMask {
-    // PANIC-OK: documented panicking convenience wrapper over the fallible
-    // variant below.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper over the fallible variant below"
+    )]
     try_magnitude_prune_per_layer(net, fractions).expect("invalid pruning fractions")
 }
 
@@ -167,10 +168,10 @@ pub fn try_magnitude_prune_per_layer(
                 "fraction {fraction} outside [0, 1]"
             )));
         }
-        // PANIC-OK: `weight_layer_indices` only returns indices of layers
-        // that expose parameters; a `None` here is an internal Network
-        // invariant violation, not a caller-reachable state.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "`weight_layer_indices` only returns indices of layers that expose parameters; a `None` here is an internal Network invariant violation, not a caller-reachable state"
+        )]
         let params = net
             .layer_params_mut(layer_index)
             .expect("weight_layer_indices returned a parameterless layer");
@@ -224,9 +225,10 @@ pub fn try_magnitude_prune_per_layer(
 /// Panics if the mask does not match the network's weight layers. Library
 /// code that must not panic should use [`try_apply_mask`].
 pub fn apply_mask(net: &mut Network, mask: &PruneMask) {
-    // PANIC-OK: documented panicking convenience wrapper over the fallible
-    // variant below.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper over the fallible variant below"
+    )]
     try_apply_mask(net, mask).expect("mask does not match network");
 }
 

@@ -347,7 +347,6 @@ fn checked_len(shape: &[usize]) -> usize {
 ///
 /// Panics if the kernel/stride/padding combination does not produce at least
 /// one output position.
-#[allow(clippy::too_many_arguments)]
 pub fn im2col(
     input: &[f32],
     channels: usize,
@@ -396,7 +395,6 @@ pub fn im2col(
 /// # Panics
 ///
 /// Panics if `cols` has the wrong shape for the given geometry.
-#[allow(clippy::too_many_arguments)]
 pub fn col2im(
     cols: &Tensor,
     channels: usize,

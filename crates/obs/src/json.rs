@@ -166,7 +166,6 @@ pub fn extract_str(line: &str, key: &str) -> Option<String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -318,7 +318,6 @@ impl Recorder {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::sink::{JsonlSink, RingSink};

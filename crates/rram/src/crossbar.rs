@@ -1162,7 +1162,7 @@ mod tests {
         }
         let input = [1.0, 0.5, -0.25, 2.0];
         let out = x.mvm(&input).unwrap();
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "indexes input and output by the same loop variable")]
         for c in 0..4 {
             let expect: f32 = (0..4)
                 .map(|r| (((r + c) % 8) as f32 / 7.0) * input[r])
@@ -1176,7 +1176,7 @@ mod tests {
         // Transposed direction agrees with the transposed math.
         let tin = [1.0, -1.0, 0.5, 0.0];
         let tout = x.mvm_transpose(&tin).unwrap();
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "indexes input and output by the same loop variable")]
         for r in 0..4 {
             let expect: f32 = (0..4).map(|c| (((r + c) % 8) as f32 / 7.0) * tin[c]).sum();
             assert!((tout[r] - expect).abs() < 1e-5);

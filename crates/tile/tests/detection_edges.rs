@@ -14,6 +14,10 @@
 //!    the same run of faulty cells split across a tile edge lands in two
 //!    half-full groups whose deviations no longer alias — tile edges
 //!    *break up* aliasing runs.
+#![expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helpers outside #[test] fns fail loudly by design"
+)]
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
 use ftt_tile::{ChipConfig, TiledChip, TiledMapping};

@@ -14,10 +14,6 @@ check:
 test-all:
     cargo test --workspace -q
 
-# Criterion benches for the simulator substrates.
-bench:
-    cargo bench -p ftt-bench
-
 # Standalone kernel benchmark report -> BENCH_kernels.json (name, size,
 # ns/iter, threads). Honors RRAM_FTT_THREADS and BENCH_REPORT_PATH.
 bench-report:
@@ -29,7 +25,8 @@ bench-report:
 bench-quick:
     BENCH_QUICK=1 BENCH_REPORT_PATH=/tmp/bench_quick.json cargo run --release -p ftt-bench --bin bench_report
 
-# Lints at the workspace's warning bar.
+# Lints at the workspace's warning bar, including the `[workspace.lints]`
+# panic policy and unsafe ban (DESIGN.md §8.1).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -39,15 +36,6 @@ chaos:
     cargo test -q --test chaos_harness
     cargo test -q -p chaos
 
-# Panic-policy gate (DESIGN.md §8.1): library crates may not unwrap/expect
-# on caller-reachable paths; justified internal invariants carry a
-# `// PANIC-OK:` comment plus a targeted #[allow]. Test code is exempt
-# (--lib builds without cfg(test)). Includes ftt-lint so the linter
-# obeys its own panic policy.
-clippy-unwrap:
-    cargo clippy -p obs -p par -p rram -p nn -p faultdet -p ftt-tile -p ftt-core -p ftt-snapshot -p ftt-strategy -p ftt-arena -p ftt-serve -p chaos -p ftt-lint --lib -- \
-        -D warnings -D clippy::unwrap_used -D clippy::expect_used
-
 # Snapshot/restore gate (DESIGN.md §12): kill a seeded run at an iteration
 # boundary, serialize, resume in a fresh recorder, and require the stitched
 # JSONL trace and final stats to match the uninterrupted run exactly —
@@ -56,11 +44,11 @@ snapshot-check:
     cargo run --release -p ftt-snapshot --bin snapshot_check
 
 # Static-analysis gate (DESIGN.md §10): the full ftt-lint catalog —
-# per-file checks (P1 panic policy, D1 determinism, F1 float soundness,
-# S1 unsafe audit, O1 obs naming, W1 workspace consistency) plus the
-# cross-crate semantic checks (C1 par-capture determinism, O2 obs
-# schema, R1 resume panic freedom, E2 cycle accounting) — over the
-# whole workspace. Exits non-zero on any unallowlisted finding.
+# per-file checks (D1 determinism, F1 float soundness, O1 obs naming,
+# W1 workspace consistency) plus the cross-crate semantic checks (C1
+# par-capture determinism, O2 obs schema, R1 resume panic freedom, E2
+# cycle accounting) — over the whole workspace. Exits non-zero on any
+# unallowlisted finding.
 lint:
     cargo run --release -p ftt-lint
 
@@ -69,13 +57,7 @@ lint:
 lint-json:
     cargo run --release -p ftt-lint -- --json
 
-# Regenerates the checked-in baseline snapshot consumed by
-# `ftt-lint --baseline` (CI's ratchet: only *new* findings fail the
-# diff). Re-run after any intentional change to findings or checks.
-lint-baseline:
-    cargo run --release -p ftt-lint -- --json > lint-baseline.json
-
-# Determinism-sanitizer sweep (DESIGN.md §10.6): the full chaos harness
+# Determinism-sanitizer sweep (DESIGN.md §10.5): the full chaos harness
 # with the par schedule sanitizer armed, at thread budgets {1, 4, MAX}.
 sanitize-chaos:
     RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=1 cargo test -q --test chaos_harness
