@@ -31,6 +31,7 @@ use rram::cell::WriteOutcome;
 use rram::crossbar::Crossbar;
 use rram::fault::{FaultKind, FaultMap};
 use rram::spatial::FaultInjection;
+use rram::RramError;
 
 use crate::config::{MappingConfig, MappingScope};
 use crate::error::FttError;
@@ -261,6 +262,16 @@ fn verify_write(
         }
     }
     Ok(())
+}
+
+/// The outcome a differential pair reports for one logical write: a new
+/// fault on either side wins, then a stuck cell, else the positive side's.
+fn more_severe(pos: WriteOutcome, neg: WriteOutcome) -> WriteOutcome {
+    match (pos, neg) {
+        (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => WriteOutcome::WoreOut(k),
+        (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
+        (p, _) => p,
+    }
 }
 
 /// Translates the mapping config into the chip's own config — used both
@@ -555,63 +566,124 @@ impl MappedNetwork {
     /// sign is stored in the periphery. Returns the hardware write outcome
     /// (stuck cells ignore the write; the write may wear the cell out).
     ///
+    /// A one-element [`MappedNetwork::write_weights`].
+    ///
     /// # Errors
     ///
-    /// Returns [`FttError::InvalidConfig`] if `position` or `idx` is out of
-    /// range, and propagates crossbar errors (including a non-finite
-    /// `value`, which the hardware layer rejects).
+    /// As [`MappedNetwork::write_weights`].
     pub fn write_weight(
         &mut self,
         position: usize,
         idx: usize,
         value: f32,
     ) -> Result<WriteOutcome, FttError> {
+        let mut outcomes = Vec::with_capacity(1);
+        self.write_weights(position, &[(idx, value)], &mut outcomes)?;
+        outcomes
+            .pop()
+            .ok_or_else(|| FttError::InvalidConfig("write produced no outcome".into()))
+    }
+
+    /// Programs a batch of weights of one mapped layer, each with an
+    /// unconditional training pulse (see [`MappedNetwork::write_weight`]),
+    /// appending one outcome per `(idx, value)` update to `outcomes`, in
+    /// issue order.
+    ///
+    /// Every index and value is checked before anything is written, so a
+    /// failing batch writes nothing: no target, sign or cell changes. The
+    /// updates are then split into maximal runs of consecutive updates
+    /// that land on the same shard, and each run is one
+    /// [`Crossbar::pulse_batch`] on that shard's tile. Every tile draws
+    /// from its own RNG, in issue order within the tile, so the result is
+    /// bit-identical to issuing the updates one at a time. Under
+    /// differential coding each run pulses its positive-polarity cells,
+    /// then its negative-polarity cells, and reports the more severe
+    /// outcome of each pair (a new fault on either side wins, then a stuck
+    /// cell).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FttError::InvalidConfig`] if `position` or any `idx` is
+    /// out of range, and [`FttError::Rram`] with
+    /// [`rram::RramError::NonFiniteValue`] for a NaN/infinite value.
+    pub fn write_weights(
+        &mut self,
+        position: usize,
+        updates: &[(usize, f32)],
+        outcomes: &mut Vec<WriteOutcome>,
+    ) -> Result<(), FttError> {
         let ts = self.config.tile_size;
         let layer = self.layers.get_mut(position).ok_or_else(|| {
             FttError::InvalidConfig(format!("mapped position {position} out of range"))
         })?;
-        if idx >= layer.rows * layer.cols {
-            return Err(FttError::InvalidConfig(format!(
-                "weight index {idx} out of range for {}x{} layer",
-                layer.rows, layer.cols
-            )));
-        }
-        let (row, col) = (idx / layer.cols, idx % layer.cols);
-        layer.targets[idx] = value;
-        if value != 0.0 {
-            layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
-        }
-        let tile_idx = layer.tile_of(row, col, ts);
-        if layer.is_differential() {
-            // One-sided differential programming: two pulses per update.
-            let gp = (f64::from(value.max(0.0)) / layer.w_max).min(1.0);
-            let gn = (f64::from((-value).max(0.0)) / layer.w_max).min(1.0);
-            let tile = layer.tiles[tile_idx];
-            let pos =
-                self.chip
-                    .tile_mut(tile.id)?
-                    .pulse_analog(row - tile.row0, col - tile.col0, gp)?;
-            let tile = layer.neg_tiles[tile_idx];
-            let neg =
-                self.chip
-                    .tile_mut(tile.id)?
-                    .pulse_analog(row - tile.row0, col - tile.col0, gn)?;
-            // Report the more severe outcome (a new fault on either side).
-            Ok(match (pos, neg) {
-                (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => {
-                    WriteOutcome::WoreOut(k)
+        for &(idx, value) in updates {
+            if idx >= layer.rows * layer.cols {
+                return Err(FttError::InvalidConfig(format!(
+                    "weight index {idx} out of range for {}x{} layer",
+                    layer.rows, layer.cols
+                )));
+            }
+            if !value.is_finite() {
+                return Err(RramError::NonFiniteValue {
+                    context: "write_weights value",
                 }
-                (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
-                (p, _) => p,
-            })
-        } else {
-            let g = (f64::from(value.abs()) / layer.w_max).min(1.0);
-            let tile = layer.tiles[tile_idx];
-            Ok(self
-                .chip
-                .tile_mut(tile.id)?
-                .pulse_analog(row - tile.row0, col - tile.col0, g)?)
+                .into());
+            }
         }
+        for &(idx, value) in updates {
+            layer.targets[idx] = value;
+            if value != 0.0 {
+                layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
+            }
+        }
+        let differential = layer.is_differential();
+        let w_max = layer.w_max;
+        // Unipolar coding stores |w|; differential coding stores the
+        // positive part on `tiles` and the negative part on `neg_tiles`.
+        let pos_g = |w: f32| {
+            let mag = if differential { w.max(0.0) } else { w.abs() };
+            (f64::from(mag) / w_max).min(1.0)
+        };
+        let neg_g = |w: f32| (f64::from((-w).max(0.0)) / w_max).min(1.0);
+        let cols = layer.cols;
+        let mut cells = Vec::with_capacity(updates.len().min(ts.saturating_mul(ts)));
+        let mut neg_outcomes = Vec::new();
+        let mut rest = updates;
+        while let Some(&(first, _)) = rest.first() {
+            let tile_idx = layer.tile_of(first / cols, first % cols, ts);
+            let (t_rows, t_cols) = layer.shard_dims(tile_idx, ts);
+            let pos = layer.tiles[tile_idx];
+            let (row_span, col_span) = (pos.row0..pos.row0 + t_rows, pos.col0..pos.col0 + t_cols);
+            cells.clear();
+            let mut run_len = 0;
+            for &(idx, value) in rest {
+                let (row, col) = (idx / cols, idx % cols);
+                if !row_span.contains(&row) || !col_span.contains(&col) {
+                    break;
+                }
+                cells.push((row - pos.row0, col - pos.col0, pos_g(value)));
+                run_len += 1;
+            }
+            let (run, tail) = rest.split_at(run_len);
+            rest = tail;
+            let run_start = outcomes.len();
+            self.chip.tile_mut(pos.id)?.pulse_batch(&cells, outcomes)?;
+            if differential {
+                // `neg_tiles` shares the grid geometry of `tiles`.
+                for (cell, &(_, value)) in cells.iter_mut().zip(run) {
+                    cell.2 = neg_g(value);
+                }
+                neg_outcomes.clear();
+                let neg = layer.neg_tiles[tile_idx];
+                self.chip
+                    .tile_mut(neg.id)?
+                    .pulse_batch(&cells, &mut neg_outcomes)?;
+                for (pair, &neg) in outcomes[run_start..].iter_mut().zip(&neg_outcomes) {
+                    *pair = more_severe(*pair, neg);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Copies the *software* (intended) weights into the network — the view
@@ -1326,6 +1398,59 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert!((b - a).abs() < 1e-6, "{b} vs {a}");
         }
+    }
+
+    #[test]
+    fn differential_pair_reports_the_more_severe_outcome() {
+        use FaultKind::{StuckAt0, StuckAt1};
+        use WriteOutcome::{Applied, Stuck, WoreOut};
+        for (pos, neg, want) in [
+            (Applied, Applied, Applied),
+            (Applied, Stuck(StuckAt0), Stuck(StuckAt0)),
+            (Stuck(StuckAt1), Applied, Stuck(StuckAt1)),
+            (Applied, WoreOut(StuckAt1), WoreOut(StuckAt1)),
+            (Stuck(StuckAt0), WoreOut(StuckAt1), WoreOut(StuckAt1)),
+            (WoreOut(StuckAt0), WoreOut(StuckAt1), WoreOut(StuckAt0)),
+            (Stuck(StuckAt0), Stuck(StuckAt1), Stuck(StuckAt0)),
+        ] {
+            assert_eq!(more_severe(pos, neg), want, "({pos:?}, {neg:?})");
+        }
+        // Through the write path: whichever polarity wears out first, the
+        // logical write reports it.
+        let mut net = mlp();
+        let config = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_coding(crate::config::WeightCoding::Differential)
+            .with_endurance(EnduranceModel::new(6.0, 3.0))
+            .with_seed(5);
+        let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
+        let mut neg_first = 0;
+        for idx in 0..mapped.layers()[0].rows * mapped.layers()[0].cols {
+            for step in 0..64 {
+                let worn_before = mapped.wear_faults();
+                let value = if step % 2 == 0 { 0.02 } else { -0.02 };
+                let outcome = mapped.write_weight(0, idx, value).unwrap();
+                if mapped.wear_faults() > worn_before {
+                    assert!(matches!(outcome, WriteOutcome::WoreOut(_)), "{outcome:?}");
+                    let layer = &mapped.layers()[0];
+                    let (row, col) = (idx / layer.cols, idx % layer.cols);
+                    let neg = layer.neg_tiles[layer.tile_of(row, col, mapped.config.tile_size)];
+                    let neg_cell = mapped.chip.tile(neg.id).unwrap();
+                    if neg_cell
+                        .cell(row - neg.row0, col - neg.col0)
+                        .unwrap()
+                        .state()
+                        .is_faulty()
+                    {
+                        neg_first += 1;
+                    }
+                    break;
+                }
+            }
+        }
+        assert!(
+            neg_first > 0,
+            "some pair must wear out on its negative side first"
+        );
     }
 
     #[test]

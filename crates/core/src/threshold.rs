@@ -136,7 +136,7 @@ impl ThresholdTrainer {
     ///
     /// # Errors
     ///
-    /// Propagates crossbar write errors.
+    /// As [`ThresholdTrainer::apply_with_mask`].
     pub fn apply(
         &mut self,
         mapped: &mut MappedNetwork,
@@ -150,9 +150,16 @@ impl ThresholdTrainer {
     /// `frozen` are never updated — after a re-mapping phase the pruned
     /// zeros must stay parked on their (possibly faulty) cells.
     ///
+    /// Each mapped layer's surviving updates go to the hardware as one
+    /// [`MappedNetwork::write_weights`] batch, in ascending weight order.
+    ///
     /// # Errors
     ///
-    /// Propagates crossbar write errors.
+    /// Returns [`FttError::InvalidConfig`] when `net` is not the network
+    /// the mapping was built from, and propagates crossbar write errors.
+    /// A layer whose batch fails writes nothing (no target, ledger or cell
+    /// changes); layers before it stay written. Before batching, a failing
+    /// write left the earlier cells of its own layer written too.
     pub fn apply_with_mask(
         &mut self,
         mapped: &mut MappedNetwork,
@@ -186,11 +193,15 @@ impl ThresholdTrainer {
             }
         }
 
-        // Pass 2: collect the surviving updates per mapped layer. Updates
-        // anchor on the *software* weight (Algorithm 1's `Current_w`), not
-        // on the corrupted effective value the forward pass used — stuck
-        // cells silently refuse the write, they do not drag the software
-        // state with them.
+        // Pass 2, one mapped layer at a time: decide which updates survive
+        // the threshold, then write them through in one batch and update
+        // the ledgers. Updates anchor on the *software* weight
+        // (Algorithm 1's `Current_w`), not on the corrupted effective value
+        // the forward pass used — stuck cells silently refuse the write,
+        // they do not drag the software state with them. A layer's
+        // decisions read only its own targets and ledger, which only its
+        // own writes change, so deciding and writing layer by layer is
+        // identical to deciding every layer first.
         let mut report = UpdateReport {
             max_abs_dw,
             ..Default::default()
@@ -201,17 +212,26 @@ impl ThresholdTrainer {
         // zero update (the None policy keeps the original method's
         // pulse-everything behaviour).
         let degenerate = max_abs_dw == 0.0 && !matches!(self.policy, ThresholdPolicy::None);
-        let mut pending: Vec<(usize, Vec<(usize, f32)>)> = Vec::new();
+        let mut updates: Vec<(usize, f32)> = Vec::new();
+        let mut outcomes = Vec::new();
         for &(pos, layer_index) in &mapped_positions {
             let frozen_layer =
                 frozen.and_then(|m| m.layers().iter().find(|l| l.layer_index == layer_index));
-            let targets = mapped.layers()[pos].targets().to_vec();
+            let targets = mapped.layers()[pos].targets();
+            let ledger = &self.write_amounts[pos];
             let params = net.layer_params_mut(layer_index).ok_or_else(|| {
                 FttError::InvalidConfig(format!(
                     "mapped layer {layer_index} has no parameters in this network"
                 ))
             })?;
-            let mut updates = Vec::new();
+            if params.weight_grad.len() != targets.len() {
+                return Err(FttError::InvalidConfig(format!(
+                    "mapped layer {layer_index} has {} gradients for {} mapped weights",
+                    params.weight_grad.len(),
+                    targets.len()
+                )));
+            }
+            updates.clear();
             for (idx, &g) in params.weight_grad.iter().enumerate() {
                 if let Some(fl) = frozen_layer {
                     if fl.pruned[idx] {
@@ -233,25 +253,26 @@ impl ThresholdTrainer {
                     report.writes_skipped += 1;
                     continue;
                 }
-                let thr = self
-                    .policy
-                    .threshold(max_abs_dw, self.write_amounts[pos][idx]);
-                if dw.abs() < thr {
+                if dw.abs() < self.policy.threshold(max_abs_dw, ledger[idx]) {
                     report.writes_skipped += 1;
-                } else {
-                    updates.push((idx, targets[idx] - lr * g));
+                    continue;
                 }
+                let value = targets[idx] - lr * g;
+                if !value.is_finite() {
+                    // A finite step can still overflow f32; the hardware
+                    // refuses non-finite targets, so treat it like a NaN.
+                    report.nan_updates_skipped += 1;
+                    continue;
+                }
+                updates.push((idx, value));
             }
-            pending.push((pos, updates));
-        }
-
-        // Pass 3: write through to the hardware and update the ledgers.
-        for (pos, updates) in pending {
-            for (idx, value) in updates {
-                let outcome = mapped.write_weight(pos, idx, value)?;
+            outcomes.clear();
+            mapped.write_weights(pos, &updates, &mut outcomes)?;
+            let ledger = &mut self.write_amounts[pos];
+            for (&(idx, _), outcome) in updates.iter().zip(&outcomes) {
                 if outcome.changed() {
                     report.writes_issued += 1;
-                    self.write_amounts[pos][idx] += 1;
+                    ledger[idx] += 1;
                 }
                 if outcome.new_fault().is_some() {
                     report.new_faults += 1;
@@ -475,6 +496,23 @@ mod tests {
         let params = net.layer_params_mut(0).unwrap();
         assert!(params.weights.iter().all(|w| w.is_finite()));
         assert!(params.bias.unwrap().iter().all(|b| b.is_finite()));
+    }
+
+    #[test]
+    fn overflowing_update_is_skipped_not_written() {
+        let (mut net, mut mapped) = setup();
+        mapped.load_effective_weights(&mut net).unwrap();
+        // A finite gradient whose `lr · g` step overflows f32.
+        let x = Tensor::from_vec(vec![1, 8], vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        net.forward_train(&x);
+        let g = Tensor::from_vec(vec![1, 4], vec![3.0e38, 0.5, -0.25, 0.0]);
+        net.backward(&g);
+        let mut trainer = ThresholdTrainer::new(ThresholdPolicy::None, &mapped);
+        let report = trainer.apply(&mut mapped, &mut net, 10.0).unwrap();
+        assert_eq!(report.nan_updates_skipped, 1);
+        assert_eq!(report.writes_issued, 31);
+        assert!(mapped.layers()[0].targets().iter().all(|w| w.is_finite()));
+        assert_eq!(trainer.write_amounts(0)[0], 0);
     }
 
     #[test]

@@ -14,6 +14,9 @@ use nn::pruning::magnitude_prune;
 use nn::synth::SyntheticDataset;
 use nn::tensor::Tensor;
 use proptest::prelude::*;
+use rram::cell::WriteOutcome;
+use rram::endurance::EnduranceModel;
+use rram::variation::WriteVariation;
 
 fn mlp(seed: u64, hidden: usize) -> Network {
     let mut rng = init_rng(seed);
@@ -22,6 +25,124 @@ fn mlp(seed: u64, hidden: usize) -> Network {
     net.push(Relu::new());
     net.push(Dense::new(hidden, 4, &mut rng));
     net
+}
+
+/// A mapping whose 3×3 tiles are smaller than both dimensions of every
+/// layer of `mlp(_, hidden ≥ 4)`, so same-tile runs break across tile
+/// rows and tile columns. A tiny endurance budget makes cells wear out
+/// mid-batch; initial faults and write variation exercise the stuck and
+/// noise paths.
+fn tiled_config(seed: u64, differential: bool) -> MappingConfig {
+    let coding = if differential {
+        WeightCoding::Differential
+    } else {
+        WeightCoding::Unipolar
+    };
+    MappingConfig::new(MappingScope::EntireNetwork)
+        .with_coding(coding)
+        .with_tile_size(3)
+        .with_endurance(EnduranceModel::new(4.0, 2.0))
+        .with_variation(WriteVariation::new(0.02))
+        .with_initial_fault_fraction(0.1)
+        .with_seed(seed)
+}
+
+/// One forward/backward pass on a fixed input, from the hardware weights.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helper outside #[test] fns fails loudly by design"
+)]
+fn backward_step(net: &mut Network, mapped: &MappedNetwork, step: u64) {
+    mapped.load_effective_weights(net).unwrap();
+    let x = Tensor::from_vec(
+        vec![2, 8],
+        (0..16)
+            .map(|i| ((i as f32) * 0.61 + step as f32 * 1.3).sin())
+            .collect(),
+    );
+    let logits = net.forward_train(&x);
+    let (_, grad) = softmax_cross_entropy(&logits, &[1, 2]);
+    net.backward(&grad);
+}
+
+/// The per-update reference for [`ThresholdTrainer::apply_with_mask`]:
+/// decide every layer against a copy of its targets, then issue each
+/// surviving update as its own `write_weight`, then step the biases.
+/// Returns `(writes_issued, writes_skipped, new_faults)`; the gradients
+/// it is fed are finite.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helper outside #[test] fns fails loudly by design"
+)]
+fn reference_apply(
+    policy: ThresholdPolicy,
+    ledgers: &mut [Vec<u32>],
+    mapped: &mut MappedNetwork,
+    net: &mut Network,
+    lr: f32,
+    frozen: Option<&nn::pruning::PruneMask>,
+) -> (u64, u64, u64) {
+    let positions: Vec<(usize, usize)> = mapped
+        .layers()
+        .iter()
+        .enumerate()
+        .map(|(pos, l)| (pos, l.layer_index))
+        .collect();
+    let mut max_abs_dw = 0.0f64;
+    for &(_, li) in &positions {
+        for &g in net.layer_params_mut(li).unwrap().weight_grad {
+            let dw = f64::from(g.abs()) * f64::from(lr);
+            if dw.is_finite() && dw > max_abs_dw {
+                max_abs_dw = dw;
+            }
+        }
+    }
+    let (mut issued, mut skipped, mut faults) = (0, 0, 0);
+    let mut pending = Vec::new();
+    for &(pos, li) in &positions {
+        let targets = mapped.layers()[pos].targets().to_vec();
+        let pruned = frozen
+            .and_then(|m| m.layers().iter().find(|l| l.layer_index == li))
+            .map(|l| l.pruned.clone());
+        let params = net.layer_params_mut(li).unwrap();
+        for (idx, &g) in params.weight_grad.iter().enumerate() {
+            if pruned.as_ref().is_some_and(|p| p[idx]) {
+                continue;
+            }
+            let dw = f64::from(g) * f64::from(lr);
+            let n = f64::from(ledgers[pos][idx]);
+            let thr = match policy {
+                ThresholdPolicy::None => 0.0,
+                ThresholdPolicy::Fixed { fraction } => fraction * max_abs_dw,
+                ThresholdPolicy::WearAware { fraction, growth } => {
+                    fraction * (1.0 + growth * n) * max_abs_dw
+                }
+            };
+            if dw.abs() < thr {
+                skipped += 1;
+            } else {
+                pending.push((pos, idx, targets[idx] - lr * g));
+            }
+        }
+    }
+    for (pos, idx, value) in pending {
+        let outcome = mapped.write_weight(pos, idx, value).unwrap();
+        if outcome.changed() {
+            issued += 1;
+            ledgers[pos][idx] += 1;
+        }
+        if outcome.new_fault().is_some() {
+            faults += 1;
+        }
+    }
+    for (_, params) in net.param_layers_mut() {
+        if let (Some(bias), Some(bias_grad)) = (params.bias, params.bias_grad) {
+            for (b, &g) in bias.iter_mut().zip(bias_grad) {
+                *b -= lr * g;
+            }
+        }
+    }
+    (issued, skipped, faults)
 }
 
 proptest! {
@@ -117,6 +238,110 @@ proptest! {
             prop_assert_eq!(back, data);
         }
         prop_assert!(plan.final_cost <= plan.initial_cost || algorithm == RemapAlgorithm::RandomShuffle);
+    }
+
+    /// `write_weights` is the per-update loop, batched: one call with
+    /// every update (arbitrary order, repeated indices) leaves outcomes and
+    /// the full mapped state — every tile's cells, RNG position, wear
+    /// counters and dirty journal — identical to issuing the same updates
+    /// one `write_weight` at a time, under both codings.
+    #[test]
+    fn write_weights_matches_single_writes(
+        seed in 0u64..200,
+        hidden in 4usize..9,
+        differential in any::<bool>(),
+        picks in proptest::collection::vec((0usize..1000, -1.5f32..1.5), 0..120),
+    ) {
+        let mut net_a = mlp(seed, hidden);
+        let mut net_b = mlp(seed, hidden);
+        let config = tiled_config(seed, differential);
+        let mut a = MappedNetwork::from_network(&mut net_a, config.clone()).unwrap();
+        let mut b = MappedNetwork::from_network(&mut net_b, config).unwrap();
+        for pos in 0..a.layers().len() {
+            let n = a.layers()[pos].rows * a.layers()[pos].cols;
+            let updates: Vec<(usize, f32)> =
+                picks.iter().map(|&(i, v)| (i % n, v)).collect();
+            let mut batched = Vec::new();
+            a.write_weights(pos, &updates, &mut batched).unwrap();
+            let single: Vec<WriteOutcome> = updates
+                .iter()
+                .map(|&(idx, v)| b.write_weight(pos, idx, v).unwrap())
+                .collect();
+            prop_assert_eq!(batched, single);
+            prop_assert_eq!(a.export_state(), b.export_state());
+        }
+    }
+
+    /// A failing batch writes nothing: an out-of-range index or a
+    /// non-finite value anywhere in it leaves the mapped state unchanged.
+    #[test]
+    fn failing_write_weights_changes_nothing(
+        seed in 0u64..200,
+        differential in any::<bool>(),
+        good in proptest::collection::vec((0usize..32, -1.0f32..1.0), 0..20),
+        at in 0usize..20,
+        bad_kind in 0u8..3,
+    ) {
+        let mut net = mlp(seed, 4);
+        let mut mapped =
+            MappedNetwork::from_network(&mut net, tiled_config(seed, differential)).unwrap();
+        let bad = match bad_kind {
+            0 => (32, 0.5),
+            1 => (0, f32::NAN),
+            _ => (0, f32::INFINITY),
+        };
+        let mut updates = good;
+        let at = at.min(updates.len());
+        updates.insert(at, bad);
+        let before = mapped.export_state();
+        let mut outcomes = Vec::new();
+        prop_assert!(mapped.write_weights(0, &updates, &mut outcomes).is_err());
+        prop_assert!(outcomes.is_empty());
+        prop_assert_eq!(mapped.export_state(), before);
+    }
+
+    /// The fused decide-and-write trainer reports, ledgers and hardware
+    /// state equal to the per-update reference (decide every layer first,
+    /// then one `write_weight` per surviving update), over several
+    /// iterations, for every policy, with and without a frozen mask.
+    #[test]
+    fn threshold_trainer_matches_per_update_reference(
+        seed in 0u64..200,
+        hidden in 4usize..9,
+        differential in any::<bool>(),
+        policy_pick in 0usize..3,
+        masked in any::<bool>(),
+    ) {
+        let policy = [
+            ThresholdPolicy::None,
+            ThresholdPolicy::Fixed { fraction: 0.05 },
+            ThresholdPolicy::WearAware { fraction: 0.05, growth: 0.5 },
+        ][policy_pick];
+        let mut net_a = mlp(seed, hidden);
+        let mut net_b = mlp(seed, hidden);
+        let mask = masked.then(|| {
+            magnitude_prune(&mut net_b, 0.3);
+            magnitude_prune(&mut net_a, 0.3)
+        });
+        let config = tiled_config(seed, differential);
+        let mut a = MappedNetwork::from_network(&mut net_a, config.clone()).unwrap();
+        let mut b = MappedNetwork::from_network(&mut net_b, config).unwrap();
+        let mut trainer = ThresholdTrainer::new(policy, &a);
+        let mut ledgers = trainer.export_ledgers();
+        for step in 0..3 {
+            backward_step(&mut net_a, &a, step);
+            backward_step(&mut net_b, &b, step);
+            let report = trainer
+                .apply_with_mask(&mut a, &mut net_a, 0.2, mask.as_ref())
+                .unwrap();
+            let expected =
+                reference_apply(policy, &mut ledgers, &mut b, &mut net_b, 0.2, mask.as_ref());
+            let got = (report.writes_issued, report.writes_skipped, report.new_faults);
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(report.nan_updates_skipped, 0);
+            prop_assert_eq!(&trainer.export_ledgers(), &ledgers);
+            prop_assert_eq!(a.export_state(), b.export_state());
+        }
     }
 
     /// Training runs are deterministic: the same seeds give bit-identical

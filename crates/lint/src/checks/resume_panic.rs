@@ -140,7 +140,8 @@ impl Check for ResumePanic {
                     file: file.rel_path.clone(),
                     line: site.line,
                     message: format!(
-                        "`{}` in `{}` is reachable from `{}` without a PANIC-OK justification \
+                        "`{}` in `{}` is reachable from `{}` without a \
+                         `#[expect(clippy::…, reason = \"…\")]` justification \
                          (resume paths must degrade, not die)",
                         site.what, f.name, origin
                     ),

@@ -152,8 +152,9 @@ impl RramCell {
         self.writes += 1;
         self.endurance_left -= 1;
         // When this write spent the last budget unit the caller (normally
-        // `Crossbar::finish_write`) must convert the cell into a stuck-at
-        // fault via `wear_out`; until then further writes report `Exhausted`.
+        // the crossbar's write-settling step) must convert the cell into a
+        // stuck-at fault via `wear_out`; until then further writes report
+        // `Exhausted`.
         WriteOutcome::Applied
     }
 

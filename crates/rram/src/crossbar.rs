@@ -21,7 +21,8 @@
 //! `Vec<f32>` for MVM SAXPY kernels and a `Vec<f64>` for the analog group
 //! sums the ADC digitizes. The planes are kept coherent by construction:
 //! the only two mutation funnels ([`Crossbar::apply_fault_map`] and the
-//! internal `finish_write`, which every write primitive calls) refresh the
+//! internal write-settling step `settle`, which every write primitive —
+//! [`Crossbar::pulse_batch`] included — calls once per cell) refresh the
 //! planes for the touched cell. Invariant, checked by the property tests:
 //! `plane32[r*cols+c] == cells[r*cols+c].conductance() as f32` (and the
 //! `f64` plane equals `conductance()` exactly) at every observable moment.
@@ -319,8 +320,8 @@ pub struct Crossbar {
     levels: u16,
     cells: Vec<RramCell>,
     /// Row-major cached conductances (`cells[i].conductance() as f32`),
-    /// consumed by the dense MVM kernels. Kept coherent by `finish_write`
-    /// and [`Crossbar::apply_fault_map`].
+    /// consumed by the dense MVM kernels. Kept coherent by `settle` and
+    /// [`Crossbar::apply_fault_map`].
     plane32: Vec<f32>,
     /// Row-major cached conductances at full precision, consumed by the
     /// quiescent group-sum reads (the ADC digitizes analog `f64` sums).
@@ -468,7 +469,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].write_level(target, noise);
-        self.finish_write(i, outcome)
+        Ok(self.finish_write(i, outcome))
     }
 
     /// Programs an arbitrary analog conductance in `[0, 1]` — the write
@@ -494,7 +495,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].write_analog(target, noise);
-        self.finish_write(i, outcome)
+        Ok(self.finish_write(i, outcome))
     }
 
     /// Bulk-programs every cell from a row-major conductance plane in
@@ -581,6 +582,8 @@ impl Crossbar {
     /// Unconditional programming pulse (no write-verify): consumes
     /// endurance even when the value does not change. Training updates use
     /// this; see [`rram::cell::RramCell::pulse_analog`](crate::cell::RramCell::pulse_analog).
+    /// It is a one-cell [`Crossbar::pulse_batch`]: same checks, same RNG
+    /// draws, same settling step.
     ///
     /// # Errors
     ///
@@ -592,15 +595,67 @@ impl Crossbar {
         col: usize,
         target: f64,
     ) -> Result<WriteOutcome, RramError> {
+        let i = self.check_pulse(row, col, target)?;
+        let before = (self.write_pulses, self.wear_faults);
+        let outcome = self.pulse_cell(i, target);
+        self.publish_counters(before);
+        Ok(outcome)
+    }
+
+    /// Issues one unconditional training pulse per `(row, col, target)`
+    /// entry, in slice order, appending one outcome per entry to
+    /// `outcomes`.
+    ///
+    /// Every coordinate and target is checked before any state is touched,
+    /// so an `Err` leaves the array exactly as it was (cells, RNG, wear
+    /// counters, dirty journal). Each cell then runs the same sequence as
+    /// [`Crossbar::pulse_analog`] — one noise draw from the array RNG, the
+    /// cell pulse, the shared settling step — so a batch is bit-identical
+    /// to the per-cell loop over the same entries. The shared
+    /// `rram_write_pulses_total` / `rram_wear_faults_total` counters are
+    /// bumped once per batch by the batch's totals.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RramError::NonFiniteValue`] or [`RramError::OutOfBounds`]
+    /// for the first entry (in slice order) with a NaN/infinite target or
+    /// invalid coordinates.
+    pub fn pulse_batch(
+        &mut self,
+        cells: &[(usize, usize, f64)],
+        outcomes: &mut Vec<WriteOutcome>,
+    ) -> Result<(), RramError> {
+        for &(row, col, target) in cells {
+            self.check_pulse(row, col, target)?;
+        }
+        outcomes.reserve(cells.len());
+        let before = (self.write_pulses, self.wear_faults);
+        for &(row, col, target) in cells {
+            outcomes.push(self.pulse_cell(row * self.cols + col, target));
+        }
+        self.publish_counters(before);
+        Ok(())
+    }
+
+    /// The checks of a training pulse: a finite target on an in-range cell.
+    /// Returns the row-major cell index.
+    #[inline]
+    fn check_pulse(&self, row: usize, col: usize, target: f64) -> Result<usize, RramError> {
         if !target.is_finite() {
             return Err(RramError::NonFiniteValue {
                 context: "pulse_analog target",
             });
         }
-        let i = self.idx(row, col)?;
+        self.idx(row, col)
+    }
+
+    /// One checked training pulse on cell `i`: noise draw, cell pulse,
+    /// settling step. Telemetry is left to the caller.
+    #[inline]
+    fn pulse_cell(&mut self, i: usize, target: f64) -> WriteOutcome {
         let noise = self.sample_noise();
         let outcome = self.cells[i].pulse_analog(target, noise);
-        self.finish_write(i, outcome)
+        self.settle(i, outcome)
     }
 
     /// Adjusts the cell level by `delta` (the paper's "Write ±δw").
@@ -612,7 +667,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].nudge(delta, noise);
-        self.finish_write(i, outcome)
+        Ok(self.finish_write(i, outcome))
     }
 
     /// Draws a zero-mean write-variation noise sample. Centred on 0.5 so the
@@ -627,7 +682,7 @@ impl Crossbar {
     }
 
     /// Refreshes the cached conductance planes for cell `i`. Must be called
-    /// after *any* cell-state mutation; `finish_write` and
+    /// after *any* cell-state mutation; `settle` and
     /// [`Crossbar::apply_fault_map`] are the only two mutation funnels.
     #[inline]
     fn sync_plane(&mut self, i: usize) {
@@ -642,33 +697,62 @@ impl Crossbar {
         }
     }
 
-    fn finish_write(&mut self, i: usize, outcome: WriteOutcome) -> Result<WriteOutcome, RramError> {
+    /// The write-settling step every write primitive runs once per cell
+    /// after the cell-level write: an effective write counts a pulse, a
+    /// cell that just spent its last endurance becomes stuck (one
+    /// `gen_bool` draw from the array RNG picks SA0/SA1), and the planes
+    /// are refreshed. Telemetry is published separately (see
+    /// [`Crossbar::publish_counters`]) so a batch bumps the shared counters
+    /// once.
+    #[inline]
+    fn settle(&mut self, i: usize, outcome: WriteOutcome) -> WriteOutcome {
         debug_assert!(
             outcome != WriteOutcome::Exhausted,
             "crossbar sticks cells at the write that exhausts them"
         );
-        if outcome.changed() {
-            self.write_pulses += 1;
-            if let Some(m) = &self.metrics {
-                m.write_pulses.inc();
-            }
-            if self.cells[i].is_worn_out() && !self.cells[i].state().is_faulty() {
-                let kind = if self.rng.gen_bool(self.endurance.wearout_sa0_prob()) {
-                    FaultKind::StuckAt0
-                } else {
-                    FaultKind::StuckAt1
-                };
-                self.cells[i].wear_out(kind);
-                self.wear_faults += 1;
-                if let Some(m) = &self.metrics {
-                    m.wear_faults.inc();
-                }
-                self.sync_plane(i);
-                return Ok(WriteOutcome::WoreOut(kind));
-            }
-            self.sync_plane(i);
+        if !outcome.changed() {
+            return outcome;
         }
-        Ok(outcome)
+        self.write_pulses += 1;
+        let outcome = if self.cells[i].is_worn_out() && !self.cells[i].state().is_faulty() {
+            let kind = if self.rng.gen_bool(self.endurance.wearout_sa0_prob()) {
+                FaultKind::StuckAt0
+            } else {
+                FaultKind::StuckAt1
+            };
+            self.cells[i].wear_out(kind);
+            self.wear_faults += 1;
+            WriteOutcome::WoreOut(kind)
+        } else {
+            outcome
+        };
+        self.sync_plane(i);
+        outcome
+    }
+
+    /// Adds the pulses and wear faults accrued since `before`
+    /// (`(write_pulses, wear_faults)` read before the write) to the
+    /// attached telemetry counters.
+    #[inline]
+    fn publish_counters(&self, before: (u64, u64)) {
+        if let Some(m) = &self.metrics {
+            let pulses = self.write_pulses - before.0;
+            if pulses > 0 {
+                m.write_pulses.add(pulses);
+            }
+            let worn = self.wear_faults - before.1;
+            if worn > 0 {
+                m.wear_faults.add(worn);
+            }
+        }
+    }
+
+    /// Settles one single-cell write and publishes its telemetry.
+    fn finish_write(&mut self, i: usize, outcome: WriteOutcome) -> WriteOutcome {
+        let before = (self.write_pulses, self.wear_faults);
+        let outcome = self.settle(i, outcome);
+        self.publish_counters(before);
+        outcome
     }
 
     /// Analog matrix–vector product driving the **rows**: returns one value

@@ -158,15 +158,15 @@ proptest! {
     }
 
     /// Cached-plane coherence: after *any* interleaving of level writes,
-    /// analog writes, training pulses, nudges, fault forcing, and
-    /// endurance-driven wear-out transitions, both cached conductance
-    /// planes read exactly what the cells read.
+    /// analog writes, training pulses, pulse batches, nudges, fault
+    /// forcing, and endurance-driven wear-out transitions, both cached
+    /// conductance planes read exactly what the cells read.
     #[test]
     fn conductance_planes_stay_coherent(
         seed in 0u64..300,
         fraction in 0.0f64..0.2,
         ops in proptest::collection::vec(
-            (0u8..5, 0usize..8, 0usize..8, 0u16..8, -3i32..=3, 0.0f64..1.0),
+            (0u8..6, 0usize..8, 0usize..8, 0u16..8, -3i32..=3, 0.0f64..1.0),
             1..50,
         ),
     ) {
@@ -197,6 +197,11 @@ proptest! {
                 1 => { let _ = xbar.write_analog(r, c, g).unwrap(); }
                 2 => { let _ = xbar.pulse_analog(r, c, g).unwrap(); }
                 3 => { let _ = xbar.nudge(r, c, delta).unwrap(); }
+                4 => {
+                    // Repeats the first cell so wear-out can land mid-batch.
+                    let batch = [(r, c, g), (c, r, 1.0 - g), (r, c, g * 0.5)];
+                    xbar.pulse_batch(&batch, &mut Vec::new()).unwrap();
+                }
                 _ => {
                     let mut map = xbar.fault_map();
                     let kind = if lvl % 2 == 0 {
@@ -210,6 +215,105 @@ proptest! {
             }
             coherent(&xbar);
         }
+    }
+
+    /// A pulse batch is bit-identical to the per-cell `pulse_analog` loop
+    /// over the same entries: outcomes, the full exported state (cells,
+    /// RNG position, pulse and wear counters, dirty-journal order), both
+    /// conductance planes, and the telemetry counter totals. The arrays
+    /// carry initial faults, write variation and a tiny endurance budget,
+    /// and entries repeat cells, so wear-out happens mid-batch.
+    #[test]
+    fn pulse_batch_matches_per_cell_pulses(
+        seed in 0u64..300,
+        fraction in 0.0f64..0.2,
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..6, 0usize..5, 0.0f64..1.0), 0..40),
+            1..4,
+        ),
+    ) {
+        let build = || {
+            let mut xbar = CrossbarBuilder::new(6, 5)
+                .endurance(EnduranceModel::new(6.0, 3.0))
+                .variation(WriteVariation::new(0.03))
+                .initial_faults(SpatialDistribution::Uniform, fraction)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let recorder = obs::Recorder::new();
+            xbar.attach_recorder(&recorder);
+            (xbar, recorder)
+        };
+        let (mut single, single_rec) = build();
+        let (mut batched, batched_rec) = build();
+        for batch in &batches {
+            let expected: Vec<WriteOutcome> = batch
+                .iter()
+                .map(|&(r, c, g)| single.pulse_analog(r, c, g).unwrap())
+                .collect();
+            let mut outcomes = vec![WriteOutcome::NoChange];
+            batched.pulse_batch(batch, &mut outcomes).unwrap();
+            // Outcomes are appended after whatever the buffer held.
+            prop_assert_eq!(outcomes[0], WriteOutcome::NoChange);
+            prop_assert_eq!(&outcomes[1..], expected.as_slice());
+            prop_assert_eq!(single.export_state(), batched.export_state());
+            prop_assert_eq!(single.conductance_plane(), batched.conductance_plane());
+            prop_assert_eq!(
+                single.conductance_plane_f64(),
+                batched.conductance_plane_f64()
+            );
+            for name in ["rram_write_pulses_total", "rram_wear_faults_total"] {
+                prop_assert_eq!(
+                    single_rec.registry().counter_value(name),
+                    batched_rec.registry().counter_value(name),
+                    "{}",
+                    name
+                );
+            }
+        }
+        prop_assert_eq!(
+            batched_rec.registry().counter_value("rram_write_pulses_total"),
+            Some(batched.write_pulses())
+        );
+        prop_assert_eq!(
+            batched_rec.registry().counter_value("rram_wear_faults_total"),
+            Some(batched.wear_faults())
+        );
+    }
+
+    /// Validate-then-write: a batch with one bad entry anywhere — an
+    /// out-of-range row or column, or a NaN/infinite target — returns
+    /// `Err` and leaves the array exactly as it was, even when the good
+    /// entries before it would have worn cells out.
+    #[test]
+    fn failing_pulse_batch_changes_nothing(
+        seed in 0u64..300,
+        good in proptest::collection::vec((0usize..4, 0usize..4, 0.0f64..1.0), 0..20),
+        at in 0usize..20,
+        bad_kind in 0u8..5,
+    ) {
+        let mut xbar = CrossbarBuilder::new(4, 4)
+            .endurance(EnduranceModel::new(4.0, 1.0))
+            .variation(WriteVariation::new(0.03))
+            .initial_faults(SpatialDistribution::Uniform, 0.1)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let bad = match bad_kind {
+            0 => (4, 0, 0.5),
+            1 => (0, 4, 0.5),
+            2 => (0, 0, f64::NAN),
+            3 => (0, 0, f64::INFINITY),
+            _ => (0, 0, f64::NEG_INFINITY),
+        };
+        let mut batch = good;
+        let at = at.min(batch.len());
+        batch.insert(at, bad);
+        let before = xbar.export_state();
+        let mut outcomes = Vec::new();
+        prop_assert!(xbar.pulse_batch(&batch, &mut outcomes).is_err());
+        prop_assert!(outcomes.is_empty());
+        prop_assert_eq!(xbar.export_state(), before);
     }
 
     /// The plane-backed MVM is bit-identical to the scalar cell-walking
