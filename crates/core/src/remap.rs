@@ -24,11 +24,22 @@
 //! [`RemapAlgorithm::GreedySwapBatch`] goes further: each round draws a
 //! *batch* of candidate swaps up front, scores every candidate's
 //! incremental delta against the frozen permutations in parallel
-//! (read-only [`RemapProblem::neuron_cost`] probes), then applies the
-//! improving, non-conflicting candidates sequentially in draw order. Both
-//! the candidate stream (drawn before the fan-out) and the application
-//! policy are deterministic, so the search trajectory is identical at any
-//! thread count.
+//! (read-only probes), then applies the improving, non-conflicting
+//! candidates sequentially in draw order. Both the candidate stream (drawn
+//! before the fan-out) and the application policy are deterministic, so the
+//! search trajectory is identical at any thread count.
+//!
+//! # Bit-plane probes
+//!
+//! Every search scores a swap by *probes*: the cost of one neuron position
+//! — its column plus the next layer's row block — with a given source
+//! neuron placed there. Within a group that cost never depends on the
+//! group's assignment at other positions (the in/out environment comes from
+//! *adjacent* groups), so a hypothetical swap is four probes and no
+//! permutation changes. A probe is a popcount of two bit planes ANDed (per
+//! position: the faults; per source neuron: where its unpruned weights
+//! land), kept in step with the adjacent groups by swapping bit runs when
+//! a swap is kept (DESIGN.md §6.8).
 
 use nn::network::Network;
 use nn::permute::{permute_columns, permute_hidden_neurons, permute_row_blocks, Permutation};
@@ -90,14 +101,34 @@ pub enum CostModel {
     Extended,
 }
 
+/// When a cell counts as a mapping error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ErrorClass {
+    /// Healthy: never.
+    Never,
+    /// Faulty: when an unpruned weight lands on it.
+    Unpruned,
+    /// Faulty: whatever lands on it.
+    Always,
+}
+
 impl CostModel {
+    fn error_class(&self, fault: Option<FaultKind>) -> ErrorClass {
+        match (self, fault) {
+            (_, None) => ErrorClass::Never,
+            (CostModel::PaperDist, Some(_)) | (CostModel::Extended, Some(FaultKind::StuckAt0)) => {
+                ErrorClass::Unpruned
+            }
+            (CostModel::Extended, Some(FaultKind::StuckAt1)) => ErrorClass::Always,
+        }
+    }
+
     #[inline]
     fn is_error(&self, pruned: bool, fault: Option<FaultKind>) -> bool {
-        match (self, fault) {
-            (_, None) => false,
-            (CostModel::PaperDist, Some(_)) => !pruned,
-            (CostModel::Extended, Some(FaultKind::StuckAt0)) => !pruned,
-            (CostModel::Extended, Some(FaultKind::StuckAt1)) => true,
+        match self.error_class(fault) {
+            ErrorClass::Never => false,
+            ErrorClass::Unpruned => !pruned,
+            ErrorClass::Always => true,
         }
     }
 }
@@ -123,6 +154,188 @@ struct NeuronGroup {
     neurons: usize,
     /// Rows of `layer + 1` moved per neuron.
     block: usize,
+}
+
+/// One side of a neuron group's cells as bit planes, `words` words each:
+/// `fault` holds one plane per hardware position (the cells that are errors
+/// under an unpruned weight), `unpruned` one per source neuron (where its
+/// unpruned weights land), both over the same cells in the same order. The
+/// errors of source `src` on position `j` are then
+/// `popcount(fault[j] & unpruned[src])` (DESIGN.md §6.8).
+#[derive(Debug, Clone)]
+struct PlanePair {
+    words: usize,
+    /// Consecutive bits an adjacent group's kept swap of two neurons moves.
+    run: usize,
+    fault: Vec<u64>,
+    unpruned: Vec<u64>,
+}
+
+impl PlanePair {
+    fn new(planes: usize, bits: usize, run: usize) -> Self {
+        let words = bits.div_ceil(64).max(1);
+        Self {
+            words,
+            run,
+            fault: vec![0; planes * words],
+            unpruned: vec![0; planes * words],
+        }
+    }
+
+    /// Errors of source neuron `src`'s weights on position `j`'s cells.
+    fn count(&self, j: usize, src: usize) -> u64 {
+        let w = self.words;
+        let fault = &self.fault[j * w..(j + 1) * w];
+        let unpruned = &self.unpruned[src * w..(src + 1) * w];
+        fault
+            .iter()
+            .zip(unpruned)
+            .map(|(f, u)| u64::from((f & u).count_ones()))
+            .sum()
+    }
+
+    /// Exchanges runs `a` and `b` of every unpruned plane: the cells' new
+    /// order after the adjacent group exchanges neurons `a` and `b`.
+    fn swap_runs(&mut self, a: usize, b: usize) {
+        for plane in self.unpruned.chunks_exact_mut(self.words) {
+            for k in 0..self.run {
+                swap_bits(plane, a * self.run + k, b * self.run + k);
+            }
+        }
+    }
+}
+
+fn set_bit(plane: &mut [u64], bit: usize) {
+    plane[bit / 64] |= 1 << (bit % 64);
+}
+
+fn swap_bits(plane: &mut [u64], x: usize, y: usize) {
+    if (plane[x / 64] >> (x % 64)) & 1 != (plane[y / 64] >> (y % 64)) & 1 {
+        plane[x / 64] ^= 1 << (x % 64);
+        plane[y / 64] ^= 1 << (y % 64);
+    }
+}
+
+/// The bit planes of one neuron group.
+#[derive(Debug, Clone)]
+struct GroupPlanes {
+    /// The group layer's column `j`, one bit per hardware row.
+    col: PlanePair,
+    /// The next layer's row block `j`, one bit per (hardware column, row
+    /// within the block), column-major so a column is one run.
+    row: PlanePair,
+    /// Per position: its cells that are errors whatever lands on them.
+    always: Vec<u64>,
+}
+
+/// Every group's bit planes, kept in step with the search's permutations:
+/// a probe of one neuron position is a few AND + popcount words instead of
+/// a walk over its cells. Built once per [`RemapProblem::solve`] at the
+/// identity permutations; each kept swap patches the adjacent groups'
+/// planes in place.
+#[derive(Debug, Clone)]
+struct ProbePlanes {
+    groups: Vec<GroupPlanes>,
+    /// Per group: the group on the layer before (whose row blocks are this
+    /// layer's rows), if any.
+    prev: Vec<Option<usize>>,
+    /// Per group: the group on the next layer (whose columns this group's
+    /// row blocks span), if any.
+    next: Vec<Option<usize>>,
+}
+
+impl ProbePlanes {
+    fn new(problem: &RemapProblem) -> Self {
+        let group_on = |layer: usize| problem.groups.iter().position(|g| g.layer == layer);
+        let prev: Vec<Option<usize>> = problem
+            .groups
+            .iter()
+            .map(|g| g.layer.checked_sub(1).and_then(group_on))
+            .collect();
+        let next = problem
+            .groups
+            .iter()
+            .map(|g| group_on(g.layer + 1))
+            .collect();
+        let groups = problem
+            .groups
+            .iter()
+            .zip(&prev)
+            .map(|(g, p)| {
+                let (layer, after) = (&problem.layers[g.layer], &problem.layers[g.layer + 1]);
+                let col_run = p.map_or(1, |p| problem.groups[p].block);
+                let mut col = PlanePair::new(g.neurons, layer.rows, col_run);
+                let mut row = PlanePair::new(g.neurons, g.block * after.cols, g.block);
+                let mut always = vec![0u64; g.neurons];
+                let mut place =
+                    |side: &mut PlanePair, j: usize, bit: usize, pruned: bool, fault| {
+                        let w = side.words;
+                        match problem.cost_model.error_class(fault) {
+                            ErrorClass::Never => {}
+                            ErrorClass::Unpruned => set_bit(&mut side.fault[j * w..], bit),
+                            ErrorClass::Always => always[j] += 1,
+                        }
+                        // At the identity, source neuron j sits at position j.
+                        if !pruned {
+                            set_bit(&mut side.unpruned[j * w..], bit);
+                        }
+                    };
+                for i in 0..layer.rows {
+                    for j in 0..layer.cols {
+                        let cell = i * layer.cols + j;
+                        place(&mut col, j, i, layer.pruned[cell], layer.fault[cell]);
+                    }
+                }
+                for j in 0..g.neurons {
+                    for b in 0..g.block {
+                        for c in 0..after.cols {
+                            let cell = (j * g.block + b) * after.cols + c;
+                            let bit = c * g.block + b;
+                            place(&mut row, j, bit, after.pruned[cell], after.fault[cell]);
+                        }
+                    }
+                }
+                GroupPlanes { col, row, always }
+            })
+            .collect();
+        Self { groups, prev, next }
+    }
+
+    /// `Dist(P, F)` of group `gi`'s position `j` — its column plus the next
+    /// layer's row block — with source neuron `src` placed there, under the
+    /// permutations the planes are in step with.
+    fn probe(&self, gi: usize, j: usize, src: usize) -> u64 {
+        let g = &self.groups[gi];
+        g.col.count(j, src) + g.row.count(j, src) + g.always[j]
+    }
+
+    /// Keeps the swap of group `gi`'s positions `a` and `b`: swaps the
+    /// permutation and moves the adjacent groups' plane bits with it.
+    fn keep_swap(&mut self, perms: &mut [Permutation], gi: usize, a: usize, b: usize) {
+        perms[gi].swap(a, b);
+        if let Some(p) = self.prev[gi] {
+            self.groups[p].row.swap_runs(a, b);
+        }
+        if let Some(q) = self.next[gi] {
+            self.groups[q].col.swap_runs(a, b);
+        }
+    }
+
+    /// Moves group `gi` to permutation `target` by kept swaps.
+    fn set_perm(&mut self, perms: &mut [Permutation], gi: usize, target: &Permutation) {
+        let mut at = vec![0; target.len()];
+        for (pos, &src) in perms[gi].as_slice().iter().enumerate() {
+            at[src] = pos;
+        }
+        for (j, &want) in target.as_slice().iter().enumerate() {
+            let (from, displaced) = (at[want], perms[gi].as_slice()[j]);
+            if from != j {
+                self.keep_swap(perms, gi, j, from);
+                at[displaced] = from;
+                at[want] = j;
+            }
+        }
+    }
 }
 
 /// The assembled re-mapping problem.
@@ -351,8 +564,8 @@ impl RemapProblem {
     }
 
     /// [`Self::cost`] without the fan-out: the same per-layer counts summed
-    /// in layer order on the calling thread. Used inside parallel island
-    /// evolution, where each worker must stay self-contained.
+    /// in layer order on the calling thread. The oracle of the GA fitness.
+    #[cfg(test)]
     fn cost_sequential(&self, perms: &[Permutation]) -> u64 {
         assert_eq!(perms.len(), self.groups.len(), "one permutation per group");
         (0..self.layers.len())
@@ -396,21 +609,19 @@ impl RemapProblem {
 
     /// Cost contribution of one neuron position within a group: the slice
     /// of `layer`'s column `j` plus `layer + 1`'s row block `j`, under the
-    /// given permutations. Used for O(rows + block·cols) swap deltas.
+    /// given permutations, counted cell by cell. The oracle of
+    /// [`ProbePlanes::probe`].
+    #[cfg(test)]
     fn neuron_cost(&self, perms: &[Permutation], group_idx: usize, j: usize) -> u64 {
         self.neuron_cost_as(perms, group_idx, j, perms[group_idx].as_slice()[j])
     }
 
     /// [`neuron_cost`] with the source neuron at position `j` overridden to
-    /// `src` instead of `perms[group_idx][j]`. This scores a *hypothetical*
-    /// swap without mutating any permutation: after swapping positions
-    /// `a, b` the cost at `a` is `neuron_cost_as(…, a, perms[g][b])` and
-    /// vice versa, because within a group the cost at one position never
-    /// depends on the group's assignment at other positions (the in/out
-    /// environment comes from *adjacent* groups). Read-only, so candidate
-    /// swaps can be scored in parallel against frozen permutations.
+    /// `src` instead of `perms[group_idx][j]`, counted cell by cell. The
+    /// oracle of [`ProbePlanes::probe`].
     ///
     /// [`neuron_cost`]: Self::neuron_cost
+    #[cfg(test)]
     fn neuron_cost_as(&self, perms: &[Permutation], group_idx: usize, j: usize, src: usize) -> u64 {
         let group = self.groups[group_idx];
         let li = group.layer;
@@ -484,6 +695,7 @@ impl RemapProblem {
             }
             RemapAlgorithm::SwapHillClimb => {
                 if !self.groups.is_empty() {
+                    let mut planes = ProbePlanes::new(self);
                     for _ in 0..config.iterations {
                         let gi = rng.gen_range(0..self.groups.len());
                         let n = self.groups[gi].neurons;
@@ -492,13 +704,11 @@ impl RemapProblem {
                         if a == b {
                             continue;
                         }
-                        let before =
-                            self.neuron_cost(&perms, gi, a) + self.neuron_cost(&perms, gi, b);
-                        perms[gi].swap(a, b);
-                        let after =
-                            self.neuron_cost(&perms, gi, a) + self.neuron_cost(&perms, gi, b);
-                        if after > before {
-                            perms[gi].swap(a, b); // revert
+                        let (pa, pb) = (perms[gi].as_slice()[a], perms[gi].as_slice()[b]);
+                        let before = planes.probe(gi, a, pa) + planes.probe(gi, b, pb);
+                        let after = planes.probe(gi, a, pb) + planes.probe(gi, b, pa);
+                        if after <= before {
+                            planes.keep_swap(&mut perms, gi, a, b);
                         }
                     }
                 }
@@ -517,15 +727,18 @@ impl RemapProblem {
                 // Same total search budget regardless of the island count.
                 let generations = (config.iterations / population / islands).max(1);
                 // Layer by layer, as in the paper.
+                let mut planes = ProbePlanes::new(self);
                 for gi in 0..self.groups.len() {
-                    perms[gi] = self.genetic_group(
+                    let fitness = GroupFitness::new(self, &perms, &planes, gi);
+                    let best = self.genetic_group(
                         &perms,
-                        gi,
+                        &fitness,
                         population,
                         islands,
                         generations,
                         config.seed,
                     );
+                    planes.set_perm(&mut perms, gi, &best);
                 }
             }
         }
@@ -548,7 +761,7 @@ impl RemapProblem {
     /// 1. draw `batch` candidate `(group, a, b)` swaps from the (sequential,
     ///    deterministic) RNG stream;
     /// 2. score every candidate's delta in parallel with read-only
-    ///    [`Self::neuron_cost_as`] probes against the frozen permutations;
+    ///    [`ProbePlanes::probe`]s against the frozen permutations;
     /// 3. apply strictly improving candidates in draw order, skipping any
     ///    whose delta may have gone stale — a position already swapped this
     ///    round, or a group whose in/out environment (an adjacent group)
@@ -576,11 +789,12 @@ impl RemapProblem {
                     .collect()
             })
             .collect();
-        // Four neuron_cost probes per candidate, each O(rows + block·cols).
-        let probe_ops = self
+        let mut planes = ProbePlanes::new(self);
+        // Four probes per candidate, each one AND + popcount per plane word.
+        let probe_ops = planes
             .groups
             .iter()
-            .map(|g| 4 * (self.layers[g.layer].rows + g.block * self.layers[g.layer + 1].cols))
+            .map(|g| 4 * (g.col.words + g.row.words))
             .max()
             .unwrap_or(0);
         let rounds = (iterations / batch).max(1);
@@ -593,14 +807,12 @@ impl RemapProblem {
                     (a != b).then(|| (gi, a.min(b), a.max(b)))
                 })
                 .collect();
-            let frozen: &[Permutation] = perms;
+            let (frozen, probes): (&[Permutation], &ProbePlanes) = (perms, &planes);
             let deltas = par::map_indices_hinted(candidates.len(), probe_ops, |k| {
                 let (gi, a, b) = candidates[k];
                 let (pa, pb) = (frozen[gi].as_slice()[a], frozen[gi].as_slice()[b]);
-                let before =
-                    self.neuron_cost_as(frozen, gi, a, pa) + self.neuron_cost_as(frozen, gi, b, pb);
-                let after =
-                    self.neuron_cost_as(frozen, gi, a, pb) + self.neuron_cost_as(frozen, gi, b, pa);
+                let before = probes.probe(gi, a, pa) + probes.probe(gi, b, pb);
+                let after = probes.probe(gi, a, pb) + probes.probe(gi, b, pa);
                 after as i64 - before as i64
             });
             let mut touched: Vec<Vec<bool>> =
@@ -614,7 +826,7 @@ impl RemapProblem {
                 {
                     continue;
                 }
-                perms[gi].swap(a, b);
+                planes.keep_swap(perms, gi, a, b);
                 touched[gi][a] = true;
                 touched[gi][b] = true;
                 group_modified[gi] = true;
@@ -638,12 +850,13 @@ impl RemapProblem {
     fn genetic_group(
         &self,
         perms: &[Permutation],
-        gi: usize,
+        fitness: &GroupFitness<'_>,
         population: usize,
         islands: usize,
         generations: usize,
         seed: u64,
     ) -> Permutation {
+        let gi = fitness.gi;
         let n = self.groups[gi].neurons;
         let mut states: Vec<Island> = (0..islands)
             .map(|island| {
@@ -663,24 +876,22 @@ impl RemapProblem {
                         }
                     })
                     .collect();
-                let scores = pop
-                    .iter()
-                    .map(|p| self.group_fitness(perms, gi, p))
-                    .collect();
+                let scores = pop.iter().map(|p| fitness.of(p)).collect();
                 Island { pop, scores, rng }
             })
             .collect();
 
-        // One fitness evaluation walks every layer once.
-        let cells: usize = self.layers.iter().map(|l| l.rows * l.cols).sum();
+        // One fitness evaluation probes every position of the group once.
+        let g = &fitness.planes.groups[gi];
+        let fitness_ops = n * (g.col.words + g.row.words);
         let mut remaining = generations;
         while remaining > 0 {
             let round = remaining.min(MIGRATION_INTERVAL);
             remaining -= round;
             let frozen: &[Island] = &states;
-            states = par::map_indices_hinted(islands, round * cells, |i| {
+            states = par::map_indices_hinted(islands, round * fitness_ops, |i| {
                 let mut island = frozen[i].clone();
-                self.evolve_island(&mut island, perms, gi, n, round);
+                evolve_island(&mut island, fitness, n, round);
                 island
             });
             if islands > 1 && remaining > 0 {
@@ -726,52 +937,72 @@ impl RemapProblem {
             None => perms[gi].clone(),
         }
     }
+}
 
-    /// Fitness of one candidate permutation for group `gi`: `Dist(P, F)`
-    /// with the other groups frozen.
-    fn group_fitness(&self, perms: &[Permutation], gi: usize, p: &Permutation) -> u64 {
-        let mut scratch = perms.to_vec();
-        scratch[gi] = p.clone();
-        self.cost_sequential(&scratch)
+/// The GA fitness of one group's candidate permutations: `Dist(P, F)` with
+/// the other groups frozen, as a constant (the layers the group does not
+/// touch) plus one probe per position.
+struct GroupFitness<'a> {
+    planes: &'a ProbePlanes,
+    gi: usize,
+    others: u64,
+}
+
+impl<'a> GroupFitness<'a> {
+    fn new(
+        problem: &RemapProblem,
+        perms: &[Permutation],
+        planes: &'a ProbePlanes,
+        gi: usize,
+    ) -> Self {
+        let li = problem.groups[gi].layer;
+        let others = (0..problem.layers.len())
+            .filter(|&l| l != li && l != li + 1)
+            .map(|l| problem.layer_cost(perms, l))
+            .sum();
+        Self { planes, gi, others }
     }
 
-    /// Evolves one island for `rounds` generations (tournament selection,
-    /// order crossover, swap mutation, replace-worst). Pure with respect to
-    /// everything but the island itself, so islands evolve in parallel.
-    fn evolve_island(
-        &self,
-        island: &mut Island,
-        perms: &[Permutation],
-        gi: usize,
-        n: usize,
-        rounds: usize,
-    ) {
-        for _ in 0..rounds {
-            // Tournament selection of two parents.
-            let pick = |rng: &mut rand::rngs::StdRng| -> usize {
-                let a = rng.gen_range(0..island.scores.len());
-                let b = rng.gen_range(0..island.scores.len());
-                if island.scores[a] <= island.scores[b] {
-                    a
-                } else {
-                    b
-                }
-            };
-            let pa = pick(&mut island.rng);
-            let pb = pick(&mut island.rng);
-            let mut child = order_crossover(&island.pop[pa], &island.pop[pb], &mut island.rng);
-            // Swap mutation.
-            if n >= 2 && island.rng.gen_bool(0.8) {
-                let (x, y) = (island.rng.gen_range(0..n), island.rng.gen_range(0..n));
-                child.swap(x, y);
+    fn of(&self, p: &Permutation) -> u64 {
+        let probes: u64 = p
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(j, &src)| self.planes.probe(self.gi, j, src))
+            .sum();
+        self.others + probes
+    }
+}
+
+/// Evolves one island for `rounds` generations (tournament selection,
+/// order crossover, swap mutation, replace-worst). Pure with respect to
+/// everything but the island itself, so islands evolve in parallel.
+fn evolve_island(island: &mut Island, fitness: &GroupFitness<'_>, n: usize, rounds: usize) {
+    for _ in 0..rounds {
+        // Tournament selection of two parents.
+        let pick = |rng: &mut rand::rngs::StdRng| -> usize {
+            let a = rng.gen_range(0..island.scores.len());
+            let b = rng.gen_range(0..island.scores.len());
+            if island.scores[a] <= island.scores[b] {
+                a
+            } else {
+                b
             }
-            let child_score = self.group_fitness(perms, gi, &child);
-            // Replace the worst member if the child improves on it.
-            let w = island.worst_index();
-            if child_score < island.scores[w] {
-                island.pop[w] = child;
-                island.scores[w] = child_score;
-            }
+        };
+        let pa = pick(&mut island.rng);
+        let pb = pick(&mut island.rng);
+        let mut child = order_crossover(&island.pop[pa], &island.pop[pb], &mut island.rng);
+        // Swap mutation.
+        if n >= 2 && island.rng.gen_bool(0.8) {
+            let (x, y) = (island.rng.gen_range(0..n), island.rng.gen_range(0..n));
+            child.swap(x, y);
+        }
+        let child_score = fitness.of(&child);
+        // Replace the worst member if the child improves on it.
+        let w = island.worst_index();
+        if child_score < island.scores[w] {
+            island.pop[w] = child;
+            island.scores[w] = child_score;
         }
     }
 }
@@ -1171,6 +1402,206 @@ mod tests {
             },
         );
         assert!(hc_plan.final_cost <= id_plan.final_cost);
+    }
+
+    /// A CNN-like chain: three convolutions (row blocks of 9) and a dense
+    /// head over a 2×2 map (row blocks of 4), so three neuron groups, the
+    /// middle one with neighbours on both sides. No layer's row count is a
+    /// multiple of 64, and two planes span more than one word.
+    fn cnn_problem(seed: u64, cost: CostModel) -> (MappedNetwork, RemapProblem) {
+        let mut rng = init_rng(seed);
+        let mut net = Network::new();
+        net.push(nn::layers::Conv2d::vgg_block(3, 8, &mut rng));
+        net.push(Relu::new());
+        net.push(nn::layers::Conv2d::vgg_block(8, 10, &mut rng));
+        net.push(Relu::new());
+        net.push(nn::layers::Conv2d::vgg_block(10, 6, &mut rng));
+        net.push(nn::layers::Flatten::new());
+        net.push(Dense::new(6 * 4, 4, &mut rng));
+        let mapped = mapped_with_faults(&mut net, 0.2, seed);
+        let mask = magnitude_prune(&mut net, 0.4);
+        let problem = RemapProblem::with_ground_truth(&mapped, &mask, cost).unwrap();
+        assert_eq!(problem.group_count(), 3);
+        (mapped, problem)
+    }
+
+    fn identity_perms(problem: &RemapProblem) -> Vec<Permutation> {
+        problem
+            .groups
+            .iter()
+            .map(|g| Permutation::identity(g.neurons))
+            .collect()
+    }
+
+    fn assert_probes_match_oracle(
+        problem: &RemapProblem,
+        planes: &ProbePlanes,
+        perms: &[Permutation],
+    ) {
+        for (gi, g) in problem.groups.iter().enumerate() {
+            for j in 0..g.neurons {
+                for src in 0..g.neurons {
+                    assert_eq!(
+                        planes.probe(gi, j, src),
+                        problem.neuron_cost_as(perms, gi, j, src),
+                        "group {gi}, position {j}, source {src}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_probes_match_cell_by_cell_counts_through_kept_swaps() {
+        for cost in [CostModel::PaperDist, CostModel::Extended] {
+            for seed in 0..4 {
+                let (_, problem) = cnn_problem(seed, cost);
+                let mut planes = ProbePlanes::new(&problem);
+                let mut perms = identity_perms(&problem);
+                assert_probes_match_oracle(&problem, &planes, &perms);
+                let mut rng = sim_rng(seed);
+                for step in 0..60 {
+                    let gi = rng.gen_range(0..problem.groups.len());
+                    let n = problem.groups[gi].neurons;
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    planes.keep_swap(&mut perms, gi, a, b);
+                    if step % 10 == 9 {
+                        assert_probes_match_oracle(&problem, &planes, &perms);
+                    }
+                }
+                // Whole-permutation moves (the GA's) are kept swaps too.
+                for gi in 0..problem.groups.len() {
+                    let target = Permutation::random(problem.groups[gi].neurons, &mut rng);
+                    planes.set_perm(&mut perms, gi, &target);
+                    assert_eq!(perms[gi], target);
+                }
+                assert_probes_match_oracle(&problem, &planes, &perms);
+            }
+        }
+    }
+
+    /// The swap searches as they were before bit planes: every probe
+    /// counted cell by cell.
+    fn oracle_search(problem: &RemapProblem, config: &RemapConfig) -> Vec<Permutation> {
+        let mut rng = sim_rng(config.seed);
+        let mut perms = identity_perms(problem);
+        let groups = &problem.groups;
+        match config.algorithm {
+            RemapAlgorithm::SwapHillClimb => {
+                for _ in 0..config.iterations {
+                    let gi = rng.gen_range(0..groups.len());
+                    let n = groups[gi].neurons;
+                    let a = rng.gen_range(0..n);
+                    let b = rng.gen_range(0..n);
+                    if a == b {
+                        continue;
+                    }
+                    let before =
+                        problem.neuron_cost(&perms, gi, a) + problem.neuron_cost(&perms, gi, b);
+                    perms[gi].swap(a, b);
+                    let after =
+                        problem.neuron_cost(&perms, gi, a) + problem.neuron_cost(&perms, gi, b);
+                    if after > before {
+                        perms[gi].swap(a, b);
+                    }
+                }
+            }
+            RemapAlgorithm::GreedySwapBatch { batch } => {
+                let adjacent = |gi: usize, hi: usize| {
+                    groups[hi].layer + 1 == groups[gi].layer
+                        || groups[gi].layer + 1 == groups[hi].layer
+                };
+                for _ in 0..(config.iterations / batch).max(1) {
+                    let candidates: Vec<(usize, usize, usize)> = (0..batch)
+                        .filter_map(|_| {
+                            let gi = rng.gen_range(0..groups.len());
+                            let n = groups[gi].neurons;
+                            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                            (a != b).then(|| (gi, a.min(b), a.max(b)))
+                        })
+                        .collect();
+                    let deltas: Vec<i64> = candidates
+                        .iter()
+                        .map(|&(gi, a, b)| {
+                            let (pa, pb) = (perms[gi].as_slice()[a], perms[gi].as_slice()[b]);
+                            let before = problem.neuron_cost_as(&perms, gi, a, pa)
+                                + problem.neuron_cost_as(&perms, gi, b, pb);
+                            let after = problem.neuron_cost_as(&perms, gi, a, pb)
+                                + problem.neuron_cost_as(&perms, gi, b, pa);
+                            after as i64 - before as i64
+                        })
+                        .collect();
+                    let mut touched: Vec<Vec<bool>> =
+                        groups.iter().map(|g| vec![false; g.neurons]).collect();
+                    let mut modified = vec![false; groups.len()];
+                    for (&(gi, a, b), &delta) in candidates.iter().zip(&deltas) {
+                        let stale = (0..groups.len()).any(|hi| adjacent(gi, hi) && modified[hi]);
+                        if delta >= 0 || touched[gi][a] || touched[gi][b] || stale {
+                            continue;
+                        }
+                        perms[gi].swap(a, b);
+                        touched[gi][a] = true;
+                        touched[gi][b] = true;
+                        modified[gi] = true;
+                    }
+                }
+            }
+            other => panic!("no oracle for {other:?}"),
+        }
+        perms
+    }
+
+    #[test]
+    fn swap_searches_match_the_cell_by_cell_oracle() {
+        for cost in [CostModel::PaperDist, CostModel::Extended] {
+            for seed in 0..3 {
+                let (mapped, problem) = cnn_problem(seed, cost);
+                for algorithm in [
+                    RemapAlgorithm::SwapHillClimb,
+                    RemapAlgorithm::GreedySwapBatch { batch: 16 },
+                ] {
+                    let config = RemapConfig {
+                        algorithm,
+                        iterations: 1500,
+                        seed,
+                        ..RemapConfig::default()
+                    };
+                    let want = oracle_search(&problem, &config);
+                    for threads in [1, 4] {
+                        par::set_thread_count(threads);
+                        let plan = problem.solve(&mapped, &config);
+                        par::set_thread_count(0);
+                        let got: Vec<Permutation> =
+                            plan.perms().iter().map(|(_, p)| p.clone()).collect();
+                        assert_eq!(got, want, "{cost:?} {algorithm:?} seed {seed} at {threads}");
+                        assert_eq!(plan.final_cost, problem.cost(&want));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_fitness_equals_full_recount() {
+        for cost in [CostModel::PaperDist, CostModel::Extended] {
+            let (_, problem) = cnn_problem(5, cost);
+            let mut planes = ProbePlanes::new(&problem);
+            let mut perms = identity_perms(&problem);
+            let mut rng = sim_rng(5);
+            for gi in 0..problem.groups.len() {
+                let target = Permutation::random(problem.groups[gi].neurons, &mut rng);
+                planes.set_perm(&mut perms, gi, &target);
+            }
+            for gi in 0..problem.groups.len() {
+                let fitness = GroupFitness::new(&problem, &perms, &planes, gi);
+                for _ in 0..10 {
+                    let child = Permutation::random(problem.groups[gi].neurons, &mut rng);
+                    let mut scratch = perms.clone();
+                    scratch[gi] = child.clone();
+                    assert_eq!(fitness.of(&child), problem.cost_sequential(&scratch));
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,82 @@ impl ThresholdPolicy {
             }
         }
     }
+
+    /// A threshold no cell's threshold falls below, whatever its write
+    /// count: the count-0 threshold, when the policy is non-decreasing in
+    /// the count. `None` when it may not be (a negative or NaN fraction or
+    /// growth), so no entry can be skipped without its own threshold.
+    fn lowest_threshold(&self, max_abs_dw: f64) -> Option<f64> {
+        match *self {
+            ThresholdPolicy::WearAware { fraction, growth }
+                if !(fraction >= 0.0 && growth >= 0.0) =>
+            {
+                None
+            }
+            _ => Some(self.threshold(max_abs_dw, 0)),
+        }
+    }
+}
+
+/// Entries classified per scan block: one bit of a `u64` each.
+const BLOCK: usize = 64;
+/// The pruned flags of a block with no frozen mask.
+const UNPRUNED: [bool; BLOCK] = [false; BLOCK];
+/// Bits of an `f32` other than the sign.
+const ABS_MASK: u32 = 0x7fff_ffff;
+/// Abs bits of `f32::INFINITY`: every smaller abs pattern is finite, and
+/// abs patterns order like the magnitudes they encode.
+const INF_BITS: u32 = 0x7f80_0000;
+
+/// The smallest abs bit pattern `a` whose update `|f64(a)·f64(lr)|` is not
+/// below `threshold` (`INF_BITS` when every finite one is below it). The
+/// product is monotone in `a` for a finite `lr`, so a binary search finds
+/// the boundary; a NaN or non-positive `threshold` gives 0.
+fn first_abs_bits_reaching(threshold: f64, lr: f32) -> u32 {
+    let below = |a: u32| (f64::from(f32::from_bits(a)) * f64::from(lr)).abs() < threshold;
+    let (mut lo, mut hi) = (0u32, INF_BITS);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The largest abs bit pattern among the finite entries of `grads` (0 when
+/// there are none). Eight independent lanes let the compiler vectorise the
+/// max; one running max compiles to a serial compare-and-move chain.
+/// Patterns stay below 2^31, so they compare the same as `i32`, which
+/// baseline x86-64 (SSE2, no unsigned vector compare) can vectorise.
+fn max_finite_abs_bits(grads: &[f32]) -> u32 {
+    let finite_abs = |g: &f32| {
+        let a = (g.to_bits() & ABS_MASK) as i32;
+        if a < INF_BITS as i32 {
+            a
+        } else {
+            0
+        }
+    };
+    let mut lanes = [0i32; 8];
+    let mut chunks = grads.chunks_exact(lanes.len());
+    for chunk in &mut chunks {
+        for (m, g) in lanes.iter_mut().zip(chunk) {
+            *m = (*m).max(finite_abs(g));
+        }
+    }
+    let tail = chunks.remainder().iter().map(finite_abs);
+    lanes.into_iter().chain(tail).fold(0, i32::max) as u32
+}
+
+/// The frozen mask's layer for network layer `layer_index`, if any.
+fn frozen_layer(
+    frozen: Option<&nn::pruning::PruneMask>,
+    layer_index: usize,
+) -> Option<&nn::pruning::LayerMask> {
+    frozen.and_then(|m| m.layers().iter().find(|l| l.layer_index == layer_index))
 }
 
 /// Statistics of one [`ThresholdTrainer::apply`] call.
@@ -156,10 +232,12 @@ impl ThresholdTrainer {
     /// # Errors
     ///
     /// Returns [`FttError::InvalidConfig`] when `net` is not the network
-    /// the mapping was built from, and propagates crossbar write errors.
-    /// A layer whose batch fails writes nothing (no target, ledger or cell
-    /// changes); layers before it stay written. Before batching, a failing
-    /// write left the earlier cells of its own layer written too.
+    /// the mapping was built from, or when a `frozen` layer's shape differs
+    /// from its mapped layer's; both are checked before anything is
+    /// written. Propagates crossbar write errors: a layer whose batch fails
+    /// writes nothing (no target, ledger or cell changes); layers before it
+    /// stay written. Before batching, a failing write left the earlier
+    /// cells of its own layer written too.
     pub fn apply_with_mask(
         &mut self,
         mapped: &mut MappedNetwork,
@@ -175,23 +253,44 @@ impl ThresholdTrainer {
             .collect();
 
         // Pass 1: the iteration's max |δw| over mapped layers (δw ∝ grad,
-        // the LR is a shared constant). NaN gradients are excluded: a NaN
-        // fails every `>` comparison, so without the finiteness guard the
-        // max would silently stay 0 and zero every threshold.
-        let mut max_abs_dw = 0.0f64;
-        for &(_, layer_index) in &mapped_positions {
+        // the LR is a shared constant), as a max over the abs bit patterns
+        // of the finite gradients (DESIGN.md §6.8). Non-finite gradients
+        // are excluded: a NaN fails every `>` comparison, so without the
+        // guard the max would silently stay 0 and zero every threshold.
+        let mut max_abs_bits = 0u32;
+        for &(pos, layer_index) in &mapped_positions {
             let params = net.layer_params_mut(layer_index).ok_or_else(|| {
                 FttError::InvalidConfig(format!(
                     "mapped layer {layer_index} has no parameters in this network"
                 ))
             })?;
-            for &g in params.weight_grad {
-                let dw = f64::from(g.abs()) * f64::from(lr);
-                if dw.is_finite() && dw > max_abs_dw {
-                    max_abs_dw = dw;
+            let weights = mapped.layers()[pos].targets().len();
+            if params.weight_grad.len() != weights {
+                return Err(FttError::InvalidConfig(format!(
+                    "mapped layer {layer_index} has {} gradients for {weights} mapped weights",
+                    params.weight_grad.len()
+                )));
+            }
+            if let Some(fl) = frozen_layer(frozen, layer_index) {
+                if fl.pruned.len() != weights {
+                    return Err(FttError::InvalidConfig(format!(
+                        "frozen mask for layer {layer_index} covers {} of {weights} weights",
+                        fl.pruned.len()
+                    )));
                 }
             }
+            max_abs_bits = max_abs_bits.max(max_finite_abs_bits(params.weight_grad));
         }
+        // For a finite `lr > 0`, `f64(|g|)·f64(lr)` is exact (24 × 24
+        // significand bits fit in 53) and so strictly monotone in `|g|`:
+        // the max product is the product of the max. Any other `lr` makes
+        // every product non-positive or non-finite, which never raised the
+        // max above 0.
+        let max_abs_dw = if lr > 0.0 && lr.is_finite() {
+            f64::from(f32::from_bits(max_abs_bits)) * f64::from(lr)
+        } else {
+            0.0
+        };
 
         // Pass 2, one mapped layer at a time: decide which updates survive
         // the threshold, then write them through in one batch and update
@@ -212,11 +311,23 @@ impl ThresholdTrainer {
         // zero update (the None policy keeps the original method's
         // pulse-everything behaviour).
         let degenerate = max_abs_dw == 0.0 && !matches!(self.policy, ThresholdPolicy::None);
+        // Gradients whose abs bits fall below `skip_below` are suppressed by
+        // every cell's threshold whatever its ledger, so the scan counts
+        // them without evaluating the policy (DESIGN.md §6.8). A non-finite
+        // `lr` makes every product non-finite, so nothing is skipped early.
+        let skip_below = if !lr.is_finite() {
+            0
+        } else if degenerate {
+            INF_BITS
+        } else {
+            self.policy
+                .lowest_threshold(max_abs_dw)
+                .map_or(0, |t| first_abs_bits_reaching(t, lr))
+        };
         let mut updates: Vec<(usize, f32)> = Vec::new();
         let mut outcomes = Vec::new();
         for &(pos, layer_index) in &mapped_positions {
-            let frozen_layer =
-                frozen.and_then(|m| m.layers().iter().find(|l| l.layer_index == layer_index));
+            let pruned = frozen_layer(frozen, layer_index).map(|l| l.pruned.as_slice());
             let targets = mapped.layers()[pos].targets();
             let ledger = &self.write_amounts[pos];
             let params = net.layer_params_mut(layer_index).ok_or_else(|| {
@@ -224,47 +335,55 @@ impl ThresholdTrainer {
                     "mapped layer {layer_index} has no parameters in this network"
                 ))
             })?;
-            if params.weight_grad.len() != targets.len() {
-                return Err(FttError::InvalidConfig(format!(
-                    "mapped layer {layer_index} has {} gradients for {} mapped weights",
-                    params.weight_grad.len(),
-                    targets.len()
-                )));
-            }
             updates.clear();
-            for (idx, &g) in params.weight_grad.iter().enumerate() {
-                if let Some(fl) = frozen_layer {
-                    if fl.pruned[idx] {
-                        continue; // pruned weights stay parked at zero
+            // Classify a block of entries at a time without branching: the
+            // skips below `skip_below` are only counted, and a bit mask
+            // marks the entries that need their own checks (a branch per
+            // entry mispredicts on the random pruned pattern).
+            let grads = params.weight_grad;
+            for (block, chunk) in grads.chunks(BLOCK).enumerate() {
+                let base = block * BLOCK;
+                let pruned_chunk = pruned.map_or(&UNPRUNED[..chunk.len()], |p| {
+                    &p[base..base + chunk.len()] // lengths checked in pass 1
+                });
+                let mut todo = 0u64;
+                for (bit, (g, &pr)) in chunk.iter().zip(pruned_chunk).enumerate() {
+                    let below = g.to_bits() & ABS_MASK < skip_below;
+                    report.writes_skipped += u64::from(below & !pr);
+                    todo |= u64::from(!(below | pr)) << bit;
+                }
+                while todo != 0 {
+                    let idx = base + todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    let g = grads[idx];
+                    // Every weight is either pulsed or suppressed each
+                    // iteration: the original method has no write-verify, so
+                    // even a zero update costs a pulse (None's threshold is 0,
+                    // which suppresses nothing).
+                    let dw = f64::from(g) * f64::from(lr);
+                    if !dw.is_finite() {
+                        // A NaN/∞ gradient fails every `<` comparison below and
+                        // would write NaN into the hardware; skip and count it.
+                        report.nan_updates_skipped += 1;
+                        continue;
                     }
+                    if degenerate {
+                        report.writes_skipped += 1;
+                        continue;
+                    }
+                    if dw.abs() < self.policy.threshold(max_abs_dw, ledger[idx]) {
+                        report.writes_skipped += 1;
+                        continue;
+                    }
+                    let value = targets[idx] - lr * g;
+                    if !value.is_finite() {
+                        // A finite step can still overflow f32; the hardware
+                        // refuses non-finite targets, so treat it like a NaN.
+                        report.nan_updates_skipped += 1;
+                        continue;
+                    }
+                    updates.push((idx, value));
                 }
-                // Every weight is either pulsed or suppressed each
-                // iteration: the original method has no write-verify, so
-                // even a zero update costs a pulse (None's threshold is 0,
-                // which suppresses nothing).
-                let dw = f64::from(g) * f64::from(lr);
-                if !dw.is_finite() {
-                    // A NaN/∞ gradient fails every `<` comparison below and
-                    // would write NaN into the hardware; skip and count it.
-                    report.nan_updates_skipped += 1;
-                    continue;
-                }
-                if degenerate {
-                    report.writes_skipped += 1;
-                    continue;
-                }
-                if dw.abs() < self.policy.threshold(max_abs_dw, ledger[idx]) {
-                    report.writes_skipped += 1;
-                    continue;
-                }
-                let value = targets[idx] - lr * g;
-                if !value.is_finite() {
-                    // A finite step can still overflow f32; the hardware
-                    // refuses non-finite targets, so treat it like a NaN.
-                    report.nan_updates_skipped += 1;
-                    continue;
-                }
-                updates.push((idx, value));
             }
             outcomes.clear();
             mapped.write_weights(pos, &updates, &mut outcomes)?;
@@ -552,6 +671,44 @@ mod tests {
         let mut other = Network::new();
         let err = trainer.apply(&mut mapped, &mut other, 0.1);
         assert!(err.is_err(), "foreign network must error, not panic");
+    }
+
+    #[test]
+    fn misshapen_frozen_mask_is_rejected_before_any_write() {
+        let (mut net, mut mapped) = setup();
+        mapped.load_effective_weights(&mut net).unwrap();
+        one_backward(&mut net);
+        let before = mapped.export_state();
+        let mut trainer = ThresholdTrainer::new(ThresholdPolicy::None, &mapped);
+        // A mask over layer 0 with a different shape (8x3 instead of 8x4).
+        let mask = nn::pruning::PruneMask::from_layers(vec![nn::pruning::LayerMask {
+            layer_index: 0,
+            shape: (8, 3),
+            pruned: vec![false; 24],
+        }]);
+        let err = trainer.apply_with_mask(&mut mapped, &mut net, 0.1, Some(&mask));
+        assert!(matches!(err, Err(FttError::InvalidConfig(_))), "{err:?}");
+        assert_eq!(mapped.export_state(), before, "nothing may be written");
+        assert!(trainer.write_amounts(0).iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn skip_bound_is_the_first_pattern_reaching_the_threshold() {
+        let lr = 0.1f32;
+        let t = 0.01 * 0.37;
+        let k = first_abs_bits_reaching(t, lr);
+        let dw = |a: u32| f64::from(f32::from_bits(a)) * f64::from(lr);
+        assert!(dw(k - 1) < t && dw(k) >= t);
+        assert_eq!(first_abs_bits_reaching(f64::NAN, lr), 0);
+        assert_eq!(first_abs_bits_reaching(0.0, lr), 0);
+        assert_eq!(first_abs_bits_reaching(f64::INFINITY, lr), INF_BITS);
+        let fixed = ThresholdPolicy::Fixed { fraction: 0.01 };
+        assert_eq!(fixed.lowest_threshold(2.0), Some(0.02));
+        let shrinking = ThresholdPolicy::WearAware {
+            fraction: 0.01,
+            growth: -0.5,
+        };
+        assert_eq!(shrinking.lowest_threshold(2.0), None);
     }
 
     #[test]

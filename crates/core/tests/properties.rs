@@ -4,7 +4,7 @@ use ftt_core::config::{FlowConfig, MappingConfig, MappingScope, RemapConfig, Wei
 use ftt_core::flow::FaultTolerantTrainer;
 use ftt_core::mapping::MappedNetwork;
 use ftt_core::remap::{CostModel, RemapAlgorithm, RemapProblem};
-use ftt_core::threshold::{ThresholdPolicy, ThresholdTrainer};
+use ftt_core::threshold::{ThresholdPolicy, ThresholdTrainer, UpdateReport};
 use nn::init::init_rng;
 use nn::layers::{Dense, Relu};
 use nn::loss::softmax_cross_entropy;
@@ -144,6 +144,144 @@ fn reference_apply(
     }
     (issued, skipped, faults)
 }
+
+/// The threshold scan as it was before the bit-domain bound: a max pass
+/// over `f64` products, then every entry through the per-element checks,
+/// one `write_weights` batch per layer, then the biases. Returns the full
+/// report; unlike [`reference_apply`] it takes any gradients.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test-fixture helper outside #[test] fns fails loudly by design"
+)]
+fn scalar_scan_apply(
+    policy: ThresholdPolicy,
+    ledgers: &mut [Vec<u32>],
+    mapped: &mut MappedNetwork,
+    net: &mut Network,
+    lr: f32,
+    frozen: Option<&nn::pruning::PruneMask>,
+) -> UpdateReport {
+    let positions: Vec<(usize, usize)> = mapped
+        .layers()
+        .iter()
+        .enumerate()
+        .map(|(pos, l)| (pos, l.layer_index))
+        .collect();
+    let mut max_abs_dw = 0.0f64;
+    for &(_, li) in &positions {
+        for &g in net.layer_params_mut(li).unwrap().weight_grad {
+            let dw = f64::from(g.abs()) * f64::from(lr);
+            if dw.is_finite() && dw > max_abs_dw {
+                max_abs_dw = dw;
+            }
+        }
+    }
+    let mut report = UpdateReport {
+        max_abs_dw,
+        ..Default::default()
+    };
+    let degenerate = max_abs_dw == 0.0 && !matches!(policy, ThresholdPolicy::None);
+    for &(pos, li) in &positions {
+        let targets = mapped.layers()[pos].targets().to_vec();
+        let pruned = frozen
+            .and_then(|m| m.layers().iter().find(|l| l.layer_index == li))
+            .map(|l| l.pruned.clone());
+        let mut updates = Vec::new();
+        let params = net.layer_params_mut(li).unwrap();
+        for (idx, &g) in params.weight_grad.iter().enumerate() {
+            if pruned.as_ref().is_some_and(|p| p[idx]) {
+                continue;
+            }
+            let dw = f64::from(g) * f64::from(lr);
+            if !dw.is_finite() {
+                report.nan_updates_skipped += 1;
+                continue;
+            }
+            if degenerate {
+                report.writes_skipped += 1;
+                continue;
+            }
+            let n = f64::from(ledgers[pos][idx]);
+            let thr = match policy {
+                ThresholdPolicy::None => 0.0,
+                ThresholdPolicy::Fixed { fraction } => fraction * max_abs_dw,
+                ThresholdPolicy::WearAware { fraction, growth } => {
+                    fraction * (1.0 + growth * n) * max_abs_dw
+                }
+            };
+            if dw.abs() < thr {
+                report.writes_skipped += 1;
+                continue;
+            }
+            let value = targets[idx] - lr * g;
+            if !value.is_finite() {
+                report.nan_updates_skipped += 1;
+                continue;
+            }
+            updates.push((idx, value));
+        }
+        let mut outcomes = Vec::new();
+        mapped.write_weights(pos, &updates, &mut outcomes).unwrap();
+        for (&(idx, _), outcome) in updates.iter().zip(&outcomes) {
+            if outcome.changed() {
+                report.writes_issued += 1;
+                ledgers[pos][idx] += 1;
+            }
+            if outcome.new_fault().is_some() {
+                report.new_faults += 1;
+            }
+        }
+    }
+    for (_, params) in net.param_layers_mut() {
+        if let (Some(bias), Some(bias_grad)) = (params.bias, params.bias_grad) {
+            for (b, &g) in bias.iter_mut().zip(bias_grad) {
+                if g.is_finite() {
+                    *b -= lr * g;
+                } else {
+                    report.nan_updates_skipped += 1;
+                }
+            }
+        }
+    }
+    report
+}
+
+/// Inputs and output gradients whose products `x·g` (the weight gradients
+/// of a one-layer net at batch 1) cover NaN, ±∞, ±0, subnormals and the
+/// f32 extremes.
+const SPECIAL_X: [f32; 8] = [1.0, 0.0, -0.0, 1e-40, 3e38, -2.5, 1e-20, f32::MIN_POSITIVE];
+const SPECIAL_G: [f32; 10] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    1e-45,
+    f32::MAX,
+    0.3,
+    -1e-3,
+    1e-30,
+];
+const SPECIAL_LR: [f32; 8] = [0.0, -0.1, 1e-30, 1e30, f32::INFINITY, f32::NAN, 0.2, 1e-3];
+const SPECIAL_POLICIES: [ThresholdPolicy; 8] = [
+    ThresholdPolicy::None,
+    ThresholdPolicy::Fixed { fraction: 0.01 },
+    ThresholdPolicy::Fixed { fraction: 0.0 },
+    ThresholdPolicy::Fixed { fraction: f64::NAN },
+    ThresholdPolicy::Fixed { fraction: -1.0 },
+    ThresholdPolicy::WearAware {
+        fraction: 0.05,
+        growth: 0.5,
+    },
+    ThresholdPolicy::WearAware {
+        fraction: 0.05,
+        growth: -0.5,
+    },
+    ThresholdPolicy::WearAware {
+        fraction: 0.01,
+        growth: 0.0,
+    },
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -368,5 +506,63 @@ proptest! {
             trainer.curve().clone()
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+}
+
+proptest! {
+    // Many special-value combinations, each a few microseconds.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The bit-domain threshold scan (max over abs bit patterns, skip bound
+    /// `k`) reports, writes and ledgers exactly what the scalar scan does,
+    /// on gradients and learning rates full of special values, for every
+    /// policy shape, with and without a frozen mask.
+    #[test]
+    fn threshold_scan_matches_scalar_scan_on_special_values(
+        seed in 0u64..200,
+        xs in proptest::collection::vec(0usize..SPECIAL_X.len(), 3 * 8),
+        gs in proptest::collection::vec(0usize..SPECIAL_G.len(), 3 * 6),
+        lr_pick in 0usize..SPECIAL_LR.len(),
+        policy_pick in 0usize..SPECIAL_POLICIES.len(),
+        masked in any::<bool>(),
+    ) {
+        let (lr, policy) = (SPECIAL_LR[lr_pick], SPECIAL_POLICIES[policy_pick]);
+        let one_layer = || {
+            let mut rng = init_rng(seed);
+            let mut net = Network::new();
+            net.push(Dense::new(8, 6, &mut rng));
+            net
+        };
+        let (mut net_a, mut net_b) = (one_layer(), one_layer());
+        let mask = masked.then(|| {
+            magnitude_prune(&mut net_b, 0.3);
+            magnitude_prune(&mut net_a, 0.3)
+        });
+        let config = tiled_config(seed, seed % 2 == 0);
+        let mut a = MappedNetwork::from_network(&mut net_a, config.clone()).unwrap();
+        let mut b = MappedNetwork::from_network(&mut net_b, config).unwrap();
+        let mut trainer = ThresholdTrainer::new(policy, &a);
+        let mut ledgers = trainer.export_ledgers();
+        for step in 0..3 {
+            let x: Vec<f32> = xs[step * 8..(step + 1) * 8].iter().map(|&i| SPECIAL_X[i]).collect();
+            let g: Vec<f32> = gs[step * 6..(step + 1) * 6].iter().map(|&i| SPECIAL_G[i]).collect();
+            for (net, mapped) in [(&mut net_a, &a), (&mut net_b, &b)] {
+                mapped.load_effective_weights(net).unwrap();
+                net.forward_train(&Tensor::from_vec(vec![1, 8], x.clone()));
+                net.backward(&Tensor::from_vec(vec![1, 6], g.clone()));
+            }
+            let got = trainer
+                .apply_with_mask(&mut a, &mut net_a, lr, mask.as_ref())
+                .unwrap();
+            let want = scalar_scan_apply(policy, &mut ledgers, &mut b, &mut net_b, lr, mask.as_ref());
+            prop_assert_eq!(got.max_abs_dw.to_bits(), want.max_abs_dw.to_bits());
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&trainer.export_ledgers(), &ledgers);
+            prop_assert_eq!(a.export_state(), b.export_state());
+            let bias = |net: &mut Network| -> Vec<u32> {
+                net.layer_params_mut(0).unwrap().bias.unwrap().iter().map(|b| b.to_bits()).collect()
+            };
+            prop_assert_eq!(bias(&mut net_a), bias(&mut net_b));
+        }
     }
 }
