@@ -44,6 +44,19 @@ pub trait Layer: fmt::Debug {
     /// Panics if no training-mode forward pass preceded this call.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Back-propagates `grad_out` into the layer's parameter gradients
+    /// only, without the gradient w.r.t. the input. `Network::backward`
+    /// calls this on its first parameterised layer, below which nothing
+    /// reads a gradient. The default runs [`Layer::backward`] and drops the
+    /// input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training-mode forward pass preceded this call.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to the layer's parameters, if it has any.
     fn params(&mut self) -> Option<LayerParams<'_>> {
         None

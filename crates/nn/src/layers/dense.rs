@@ -79,6 +79,11 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        grad_out.matmul_nt(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede backward (see the trait's `# Panics` section)"
@@ -96,7 +101,6 @@ impl Layer for Dense {
                 *d += g;
             }
         }
-        grad_out.matmul_nt(&self.w)
     }
 
     fn params(&mut self) -> Option<LayerParams<'_>> {

@@ -41,8 +41,10 @@ impl Layer for MaxPool2 {
             let oplane = bc * oh * ow;
             for oy in 0..oh {
                 for ox in 0..ow {
+                    // A window with no value above -inf (all -inf or NaN)
+                    // routes its gradient to its own first element.
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    let mut best_idx = plane + oy * 2 * w + ox * 2;
                     for dy in 0..2 {
                         for dx in 0..2 {
                             let idx = plane + (oy * 2 + dy) * w + (ox * 2 + dx);
@@ -122,6 +124,28 @@ mod tests {
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]);
         let dx = pool.backward(&g);
         assert_eq!(dx.data(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    fn window_without_a_finite_max_keeps_its_gradient_in_its_channel() {
+        let mut pool = MaxPool2::new();
+        let ninf = f32::NEG_INFINITY;
+        // Channel 0 is ordinary; channel 1 is all -inf.
+        let x = Tensor::from_vec(
+            vec![1, 2, 2, 2],
+            vec![1., 2., 3., 4., ninf, ninf, ninf, ninf],
+        );
+        let y = pool.forward(&x, true);
+        assert_eq!(y.data(), &[4., ninf]);
+        let g = Tensor::from_vec(vec![1, 2, 1, 1], vec![10.0, 5.0]);
+        let dx = pool.backward(&g);
+        assert_eq!(dx.data(), &[0., 0., 0., 10., 5., 0., 0., 0.]);
+        // Same for a NaN window in a later sample.
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![2, 1, 2, 2], vec![0., 1., 2., 3., nan, nan, nan, nan]);
+        let _ = pool.forward(&x, true);
+        let dx = pool.backward(&Tensor::from_vec(vec![2, 1, 1, 1], vec![7.0, 9.0]));
+        assert_eq!(dx.data(), &[0., 0., 0., 7., 9., 0., 0., 0.]);
     }
 
     #[test]

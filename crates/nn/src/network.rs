@@ -76,18 +76,28 @@ impl Network {
         x
     }
 
-    /// Back-propagates the loss gradient through all layers, filling each
-    /// parameterized layer's gradients.
+    /// Back-propagates the loss gradient, filling each parameterized
+    /// layer's gradients.
+    ///
+    /// The pass stops at the first parameterized layer, which fills its
+    /// parameter gradients only ([`Layer::backward_params`]): nothing reads
+    /// the gradient w.r.t. the network input, so it is never computed, and
+    /// layers below that one are not visited. A network without parameters
+    /// does nothing.
     ///
     /// # Panics
     ///
     /// Panics if [`Network::forward_train`] did not precede this call.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some(first) = self.layers.iter_mut().position(|l| l.params().is_some()) else {
+            return;
+        };
+        let (below, above) = self.layers.split_at_mut(first + 1);
+        let mut g: Option<Tensor> = None;
+        for layer in above.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
         }
-        g
+        below[first].backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     /// Iterates over `(layer_index, params)` for every parameterized layer.
@@ -163,17 +173,51 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 4], (0..8).map(|i| i as f32 * 0.1).collect());
         let y = net.forward_train(&x);
         let g = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let dx = net.backward(&g);
-        assert_eq!(dx.shape(), &[2, 4]);
+        net.backward(&g);
         let mut count = 0;
         for (_, p) in net.param_layers_mut() {
+            assert_eq!(p.weight_grad.len(), p.weights.len());
             assert!(
                 p.weight_grad.iter().any(|&g| g != 0.0),
                 "grads should be non-zero"
             );
+            let (bias, bias_grad) = (p.bias.unwrap(), p.bias_grad.unwrap());
+            assert_eq!(bias_grad.len(), bias.len());
+            assert!(bias_grad.iter().any(|&g| g != 0.0), "bias grads too");
             count += 1;
         }
         assert_eq!(count, 2);
+    }
+
+    #[test]
+    fn backward_stops_at_the_first_parameterised_layer_with_the_same_grads() {
+        // A leading ReLU sits below the first parameterised layer.
+        let build = || {
+            let mut net = mlp();
+            net.layers.insert(0, Box::new(Relu::new()));
+            net
+        };
+        let x = Tensor::from_vec(vec![3, 4], (0..12).map(|i| i as f32 * 0.3 - 1.0).collect());
+        let (mut net, mut full) = (build(), build());
+        let y = net.forward_train(&x);
+        assert_eq!(full.forward_train(&x), y);
+        let g = Tensor::from_vec(
+            y.shape().to_vec(),
+            (0..y.len()).map(|i| i as f32 - 4.0).collect(),
+        );
+        net.backward(&g);
+        // Reference: every layer's full backward, input gradient included.
+        let mut gf = g.clone();
+        for layer in full.layers.iter_mut().rev() {
+            gf = layer.backward(&gf);
+        }
+        assert_eq!(gf.shape(), &[3, 4]);
+        let grads = |net: &mut Network| -> Vec<(Vec<f32>, Vec<f32>)> {
+            net.param_layers_mut()
+                .map(|(_, p)| (p.weight_grad.to_vec(), p.bias_grad.unwrap().to_vec()))
+                .collect()
+        };
+        assert_eq!(grads(&mut net), grads(&mut full));
     }
 
     #[test]

@@ -56,8 +56,9 @@ fn worker_span() -> Option<obs::SpanGuard> {
     Some(obs::global().span("par_worker"))
 }
 
-/// Problems smaller than this many work items run sequentially: spawning
-/// even one scoped thread costs ~10 µs, which dwarfs small kernels.
+/// Problems smaller than this many work items run sequentially: a fan-out
+/// costs tens of µs in thread spawns (an empty two-worker scope measured
+/// 42–44 µs on a 2-vCPU container), which dwarfs small kernels.
 pub const PAR_THRESHOLD: usize = 64;
 
 /// Sparsity gate shared by `Crossbar::mvm` and `Tensor::matmul`: skipping a
