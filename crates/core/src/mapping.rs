@@ -27,9 +27,9 @@ use std::collections::BTreeSet;
 use faultdet::detector::OnlineFaultDetector;
 use ftt_tile::{ChipConfig, ChipState, ShardGrid, SpareOutcome, TiledChip};
 use nn::network::Network;
+use rram::bits::BitPlane;
 use rram::cell::WriteOutcome;
-use rram::crossbar::Crossbar;
-use rram::fault::{FaultKind, FaultMap};
+use rram::fault::FaultMap;
 use rram::spatial::FaultInjection;
 use rram::RramError;
 
@@ -131,19 +131,8 @@ impl MappedLayer {
     pub fn fault_map(&self, chip: &TiledChip) -> FaultMap {
         let mut map = FaultMap::healthy(self.rows, self.cols);
         for tile in self.tiles.iter().chain(&self.neg_tiles) {
-            let Ok(xbar) = chip.tile(tile.id) else {
-                continue;
-            };
-            let sub = xbar.fault_map();
-            for (r, c, kind) in sub.iter_faulty() {
-                let (lr, lc) = (tile.row0 + r, tile.col0 + c);
-                let merged = match (map.get(lr, lc), kind) {
-                    (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => {
-                        FaultKind::StuckAt1
-                    }
-                    _ => FaultKind::StuckAt0,
-                };
-                map.set(lr, lc, Some(merged));
+            if let Ok(xbar) = chip.tile(tile.id) {
+                map.overlay_at(tile.row0, tile.col0, &xbar.fault_map());
             }
         }
         map
@@ -242,26 +231,6 @@ fn foreign_network_error(layer_index: usize) -> FttError {
         "mapped layer {layer_index} has no parameters in this network \
          (mapping built from a different network?)"
     ))
-}
-
-/// Verify-then-write: reprogram one cell only when it drifted beyond
-/// `epsilon` of the target conductance.
-fn verify_write(
-    xbar: &mut Crossbar,
-    row: usize,
-    col: usize,
-    g: f64,
-    epsilon: f64,
-    writes: &mut u64,
-) -> Result<(), FttError> {
-    let current = xbar.conductance(row, col)?;
-    if (current - g).abs() > epsilon {
-        let outcome = xbar.write_analog(row, col, g)?;
-        if outcome.changed() {
-            *writes += 1;
-        }
-    }
-    Ok(())
 }
 
 /// The outcome a differential pair reports for one logical write: a new
@@ -593,9 +562,10 @@ impl MappedNetwork {
     /// failing batch writes nothing: no target, sign or cell changes. The
     /// updates are then split into maximal runs of consecutive updates
     /// that land on the same shard, and each run is one
-    /// [`Crossbar::pulse_batch`] on that shard's tile. Every tile draws
-    /// from its own RNG, in issue order within the tile, so the result is
-    /// bit-identical to issuing the updates one at a time. Under
+    /// [`rram::crossbar::Crossbar::pulse_batch`] on that shard's tile.
+    /// Every tile draws from its own RNG, in issue order within the tile,
+    /// so the result is bit-identical to issuing the updates one at a
+    /// time. Under
     /// differential coding each run pulses its positive-polarity cells,
     /// then its negative-polarity cells, and reports the more severe
     /// outcome of each pair (a new fault on either side wins, then a stuck
@@ -711,7 +681,104 @@ impl MappedNetwork {
     /// cells already within `epsilon` of the target conductance — used to
     /// reprogram the array after a re-mapping permutation. Returns the
     /// number of write pulses issued.
+    ///
+    /// Each shard's target conductances go to its tile as one
+    /// [`rram::crossbar::Crossbar::reprogram_conductances`] batch. Every
+    /// tile draws from its own RNG and the batch visits its cells in
+    /// row-major order, the order a row-major walk over the layer reaches
+    /// them, so the writes are bit-identical to reprogramming one weight
+    /// at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FttError::InvalidConfig`] when `net` is not the network
+    /// this mapping was built from.
     pub fn reprogram_from(&mut self, net: &mut Network, epsilon: f64) -> Result<u64, FttError> {
+        let ts = self.config.tile_size;
+        let mut writes = 0u64;
+        let mut plane = Vec::new();
+        for layer in &mut self.layers {
+            let params = net
+                .layer_params_mut(layer.layer_index)
+                .ok_or_else(|| foreign_network_error(layer.layer_index))?;
+            if params.weights.len() != layer.rows * layer.cols {
+                return Err(foreign_network_error(layer.layer_index));
+            }
+            // Selects, not branches: the signs of trained weights are
+            // random.
+            for ((t, s), &w) in layer
+                .targets
+                .iter_mut()
+                .zip(layer.signs.iter_mut())
+                .zip(params.weights.iter())
+            {
+                *t = w;
+                let sign = if w < 0.0 { -1 } else { 1 };
+                *s = if w != 0.0 { sign } else { *s };
+            }
+            let (cols, w_max) = (layer.cols, layer.w_max);
+            // Unipolar coding stores |w|; differential coding stores the
+            // positive part on `tiles` and the negative part on `neg_tiles`.
+            let differential = layer.is_differential();
+            let g = |w: f32, neg: bool| {
+                let mag = match (differential, neg) {
+                    (false, _) => w.abs(),
+                    (true, false) => w.max(0.0),
+                    (true, true) => (-w).max(0.0),
+                };
+                (f64::from(mag) / w_max).min(1.0)
+            };
+            for tile_idx in 0..layer.tiles.len() {
+                let (t_rows, t_cols) = layer.shard_dims(tile_idx, ts);
+                // `neg_tiles` shares the grid geometry of `tiles`.
+                let shards = std::iter::once((layer.tiles[tile_idx], false))
+                    .chain(differential.then(|| (layer.neg_tiles[tile_idx], true)));
+                for (tile, neg) in shards {
+                    plane.clear();
+                    for r in 0..t_rows {
+                        let base = (tile.row0 + r) * cols + tile.col0;
+                        plane.extend(
+                            layer.targets[base..base + t_cols]
+                                .iter()
+                                .map(|&w| g(w, neg)),
+                        );
+                    }
+                    writes += self
+                        .chip
+                        .tile_mut(tile.id)?
+                        .reprogram_conductances(&plane, epsilon)?;
+                }
+            }
+        }
+        Ok(writes)
+    }
+
+    /// [`MappedNetwork::reprogram_from`] one weight at a time: a tile
+    /// lookup, a conductance read and maybe a write per cell, in row-major
+    /// order over each layer. The oracle of the batched path.
+    #[cfg(test)]
+    pub(crate) fn reprogram_from_per_cell(
+        &mut self,
+        net: &mut Network,
+        epsilon: f64,
+    ) -> Result<u64, FttError> {
+        fn verify_write(
+            xbar: &mut rram::crossbar::Crossbar,
+            row: usize,
+            col: usize,
+            g: f64,
+            epsilon: f64,
+            writes: &mut u64,
+        ) -> Result<(), FttError> {
+            let current = xbar.conductance(row, col)?;
+            if (current - g).abs() > epsilon {
+                let outcome = xbar.write_analog(row, col, g)?;
+                if outcome.changed() {
+                    *writes += 1;
+                }
+            }
+            Ok(())
+        }
         let ts = self.config.tile_size;
         let mut writes = 0u64;
         for layer in &mut self.layers {
@@ -730,30 +797,24 @@ impl MappedNetwork {
                 }
                 let (row, col) = (idx / layer.cols, idx % layer.cols);
                 let tile_idx = layer.tile_of(row, col, ts);
-                if differential {
-                    let gp = (f64::from(target.max(0.0)) / layer.w_max).min(1.0);
-                    let gn = (f64::from((-target).max(0.0)) / layer.w_max).min(1.0);
-                    let t = layer.tiles[tile_idx];
-                    verify_write(
-                        self.chip.tile_mut(t.id)?,
-                        row - t.row0,
-                        col - t.col0,
-                        gp,
-                        epsilon,
-                        &mut writes,
-                    )?;
-                    let t = layer.neg_tiles[tile_idx];
-                    verify_write(
-                        self.chip.tile_mut(t.id)?,
-                        row - t.row0,
-                        col - t.col0,
-                        gn,
-                        epsilon,
-                        &mut writes,
-                    )?;
+                let cells = if differential {
+                    vec![
+                        (
+                            layer.tiles[tile_idx],
+                            (f64::from(target.max(0.0)) / layer.w_max).min(1.0),
+                        ),
+                        (
+                            layer.neg_tiles[tile_idx],
+                            (f64::from((-target).max(0.0)) / layer.w_max).min(1.0),
+                        ),
+                    ]
                 } else {
-                    let g = (f64::from(target.abs()) / layer.w_max).min(1.0);
-                    let t = layer.tiles[tile_idx];
+                    vec![(
+                        layer.tiles[tile_idx],
+                        (f64::from(target.abs()) / layer.w_max).min(1.0),
+                    )]
+                };
+                for (t, g) in cells {
                     verify_write(
                         self.chip.tile_mut(t.id)?,
                         row - t.row0,
@@ -801,18 +862,9 @@ impl MappedNetwork {
             cycles += outcome.cycles();
             write_pulses += outcome.write_pulses;
             untested_groups += outcome.untested_groups;
-            for (r, c, kind) in outcome.predicted.iter_faulty() {
-                // Differential pairs merge onto the logical cell; the
-                // severe kind (SA1) wins on disagreement.
-                let (lr, lc) = (tile.row0 + r, tile.col0 + c);
-                let merged = match (predicted.get(lr, lc), kind) {
-                    (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => {
-                        FaultKind::StuckAt1
-                    }
-                    _ => FaultKind::StuckAt0,
-                };
-                predicted.set(lr, lc, Some(merged));
-            }
+            // Differential pairs merge onto the logical cell; the severe
+            // kind (SA1) wins on disagreement.
+            predicted.overlay_at(tile.row0, tile.col0, &outcome.predicted);
         }
         if !any_ok {
             if let Some(e) = first_err {
@@ -1008,6 +1060,25 @@ impl MappedNetwork {
         self.layers
             .iter()
             .map(|l| l.fault_map(&self.chip))
+            .collect()
+    }
+
+    /// Ground truth per mapped layer as bit planes of the faulty logical
+    /// cells: the kind-agnostic view of [`MappedNetwork::ground_truth`]
+    /// (a differential pair is faulty when either cell is stuck), built by
+    /// ORing each tile's stuck-cell plane in at its shard origin.
+    pub fn ground_truth_planes(&self) -> Vec<BitPlane> {
+        self.layers
+            .iter()
+            .map(|l| {
+                let mut plane = BitPlane::new(l.rows, l.cols);
+                for tile in l.tiles.iter().chain(&l.neg_tiles) {
+                    if let Ok(xbar) = self.chip.tile(tile.id) {
+                        plane.or_at(tile.row0, tile.col0, xbar.fault_plane());
+                    }
+                }
+                plane
+            })
             .collect()
     }
 
@@ -1402,7 +1473,7 @@ mod tests {
 
     #[test]
     fn differential_pair_reports_the_more_severe_outcome() {
-        use FaultKind::{StuckAt0, StuckAt1};
+        use rram::fault::FaultKind::{StuckAt0, StuckAt1};
         use WriteOutcome::{Applied, Stuck, WoreOut};
         for (pos, neg, want) in [
             (Applied, Applied, Applied),
@@ -1520,6 +1591,81 @@ mod tests {
             // Test size 1 is exact per array; the merged logical map must
             // match the merged ground truth.
             assert_eq!(&det.predicted, truth);
+        }
+    }
+
+    /// One mapping of `mlp()` with write variation, a short endurance
+    /// budget (cells wear out while reprogramming) and initial faults,
+    /// sharded into `tile` × `tile` tiles.
+    fn worn_mapping(
+        coding: crate::config::WeightCoding,
+        tile: usize,
+        seed: u64,
+    ) -> (Network, MappedNetwork) {
+        let mut net = mlp();
+        let mapped = MappedNetwork::from_network(
+            &mut net,
+            MappingConfig::new(MappingScope::EntireNetwork)
+                .with_coding(coding)
+                .with_tile_size(tile)
+                .with_variation(rram::variation::WriteVariation::new(0.03))
+                .with_endurance(EnduranceModel::new(5.0, 2.0))
+                .with_initial_fault_fraction(0.1)
+                .with_seed(seed),
+        )
+        .unwrap();
+        (net, mapped)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Reprogramming one batch per tile is bit-identical to the
+        /// per-cell path, for both codings and `epsilon` 0 and 1e-6, over
+        /// several rounds of weight changes (zeros, sign flips and weights
+        /// past full scale included).
+        #[test]
+        fn batched_reprogram_matches_the_per_cell_path(
+            seed in 0u64..1_000,
+            differential in proptest::prelude::any::<bool>(),
+            tile in 1usize..8,
+            tiny_epsilon in proptest::prelude::any::<bool>(),
+        ) {
+            use crate::config::WeightCoding;
+            use rand::Rng;
+            let coding = if differential { WeightCoding::Differential } else { WeightCoding::Unipolar };
+            let epsilon = if tiny_epsilon { 1e-6 } else { 0.0 };
+            let (mut net_a, mut a) = worn_mapping(coding, tile, seed);
+            let (mut net_b, mut b) = worn_mapping(coding, tile, seed);
+            let mut rng = rram::rng::sim_rng(seed ^ 0xfeed);
+            for _ in 0..3 {
+                for li in net_a.weight_layer_indices() {
+                    let wa = net_a.layer_params_mut(li).unwrap().weights;
+                    let mut changes: Vec<(usize, f32)> = Vec::new();
+                    for (i, &w) in wa.iter().enumerate() {
+                        if rng.gen_bool(0.4) {
+                            let new = match rng.gen_range(0..4) {
+                                0 => 0.0,
+                                1 => -w,
+                                2 => w * 5.0,
+                                _ => rng.gen_range(-1.0f32..1.0),
+                            };
+                            changes.push((i, new));
+                        }
+                    }
+                    for &(i, w) in &changes {
+                        wa[i] = w;
+                    }
+                    let wb = net_b.layer_params_mut(li).unwrap().weights;
+                    for &(i, w) in &changes {
+                        wb[i] = w;
+                    }
+                }
+                let got = a.reprogram_from(&mut net_a, epsilon).unwrap();
+                let want = b.reprogram_from_per_cell(&mut net_b, epsilon).unwrap();
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert!(a.export_state() == b.export_state());
+            }
         }
     }
 

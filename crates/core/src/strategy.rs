@@ -45,7 +45,6 @@ use nn::network::Network;
 use obs::{Confusion, Event, WritePhase};
 
 use faultdet::detector::OnlineFaultDetector;
-use faultdet::metrics::DetectionReport;
 
 use crate::config::FlowConfig;
 use crate::error::FttError;
@@ -437,15 +436,44 @@ pub fn sum_detections(detections: &[LayerDetection]) -> (u64, u64, u64, u64) {
 }
 
 /// Scores a campaign's predictions against simulator ground truth, summed
-/// over all mapped layers.
+/// over all mapped layers. Scoring is kind-agnostic (as
+/// [`faultdet::metrics::DetectionReport::evaluate`]), so each layer's
+/// counts are popcounts over its predicted and faulty-cell planes.
+///
+/// # Panics
+///
+/// Panics if a detection's map does not have its layer's dimensions.
 pub fn score_against_ground_truth(
+    mapped: &MappedNetwork,
+    detections: &[LayerDetection],
+) -> Confusion {
+    let truth = mapped.ground_truth_planes();
+    let mut confusion = Confusion::default();
+    for (t, d) in truth.iter().zip(detections) {
+        let predicted = d.predicted.faulty_plane();
+        let both = t.count_and(&predicted) as u64;
+        let (faulty, flagged) = (t.count_ones() as u64, predicted.count_ones() as u64);
+        let cells = (t.rows() * t.cols()) as u64;
+        confusion.true_pos += both;
+        confusion.false_pos += flagged - both;
+        confusion.false_neg += faulty - both;
+        confusion.true_neg += cells - (faulty + flagged - both);
+    }
+    confusion
+}
+
+/// The cell-by-cell scoring the popcounts replaced: per-layer ground-truth
+/// [`rram::fault::FaultMap`]s walked by `DetectionReport::evaluate`. The
+/// oracle of [`score_against_ground_truth`].
+#[cfg(test)]
+pub(crate) fn score_by_fault_maps(
     mapped: &MappedNetwork,
     detections: &[LayerDetection],
 ) -> Confusion {
     let truth = mapped.ground_truth();
     let mut confusion = Confusion::default();
     for (t, d) in truth.iter().zip(detections) {
-        let r = DetectionReport::evaluate(t, &d.predicted);
+        let r = faultdet::metrics::DetectionReport::evaluate(t, &d.predicted);
         confusion.true_pos += r.tp;
         confusion.false_pos += r.fp;
         confusion.false_neg += r.fn_;
@@ -544,6 +572,50 @@ mod tests {
             &PruneMask::from_layers(vec![wrong])
         )
         .is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Popcount scoring equals the cell-by-cell map walk: unipolar and
+        /// differential coding (a logical cell is faulty when either cell
+        /// of its pair is stuck; SA1 wins the merged kind), remainder
+        /// tiles, coarse test sizes that mispredict in both directions, and
+        /// arrays where every cell is stuck.
+        #[test]
+        fn popcount_scoring_matches_the_map_walk(
+            seed in 0u64..1_000,
+            differential in proptest::prelude::any::<bool>(),
+            tile in 2usize..12,
+            test_size in 1usize..6,
+            faults in proptest::prop_oneof![proptest::Just(1.0f64), 0.0f64..0.3],
+        ) {
+            use crate::config::{MappingConfig, MappingScope, WeightCoding};
+            use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
+            let mut rng = nn::init::init_rng(seed);
+            let mut net = Network::new();
+            net.push(nn::layers::Dense::new(9, 13, &mut rng));
+            net.push(nn::layers::Relu::new());
+            net.push(nn::layers::Dense::new(13, 5, &mut rng));
+            let coding = if differential { WeightCoding::Differential } else { WeightCoding::Unipolar };
+            let mut mapped = MappedNetwork::from_network(
+                &mut net,
+                MappingConfig::new(MappingScope::EntireNetwork)
+                    .with_coding(coding)
+                    .with_tile_size(tile)
+                    .with_initial_fault_fraction(faults)
+                    .with_seed(seed),
+            )
+            .unwrap();
+            let detector = OnlineFaultDetector::new(
+                DetectorConfig::new(test_size).unwrap().with_selected_cells(),
+            );
+            let detections = mapped.detect(&detector).unwrap();
+            proptest::prop_assert_eq!(
+                score_against_ground_truth(&mapped, &detections),
+                score_by_fault_maps(&mapped, &detections)
+            );
+        }
     }
 
     #[test]

@@ -95,11 +95,9 @@ impl AdaptiveDetector {
         let (rows, cols) = (xbar.rows(), xbar.cols());
 
         // Write the test increment everywhere (as in the fixed campaign).
-        let mut deltas = vec![0i32; rows * cols];
-        for (r, c) in candidates.iter() {
-            let _ = xbar.nudge(r, c, delta)?;
-            deltas[r * cols + c] = delta;
-        }
+        let cells = candidates.plane().ones();
+        let mut outcomes = Vec::new();
+        xbar.nudge_batch(&cells, delta, &mut outcomes)?;
 
         let mut cycles = 0u64;
         // Row direction: bisect row ranges; a mismatch on any column keeps
@@ -117,7 +115,8 @@ impl AdaptiveDetector {
             // a single vectorized kernel call instead of `cols` strided
             // walks (bit-identical entries, same flags).
             let actual = xbar.column_group_sums(range.clone())?;
-            let expected = store.expected_column_group_sums(range.clone(), &deltas);
+            let expected =
+                store.expected_column_group_sums_cached(range.clone(), candidates, delta);
             let mut col_flags = vec![false; cols];
             for (flag, (&sum, &exp)) in col_flags.iter_mut().zip(actual.iter().zip(&expected)) {
                 if adc.digitize_mod(sum) != adc.reduce(exp) {
@@ -147,7 +146,7 @@ impl AdaptiveDetector {
             cycles += 1;
             let mut any = false;
             let actual = xbar.row_group_sums(range.clone())?;
-            let expected = store.expected_row_group_sums(range.clone(), &deltas);
+            let expected = store.expected_row_group_sums_cached(range.clone(), candidates, delta);
             let mut row_flags = vec![false; rows];
             for (flag, (&sum, &exp)) in row_flags.iter_mut().zip(actual.iter().zip(&expected)) {
                 if adc.digitize_mod(sum) != adc.reduce(exp) {
@@ -188,12 +187,12 @@ impl AdaptiveDetector {
         let map = flags.predict(candidates, kind, 1);
 
         // Restore training weights.
-        for (r, c) in candidates.iter() {
-            let target = store.stored_level(r, c);
-            if xbar.read_level(r, c)? != target {
-                let _ = xbar.write_level(r, c, target)?;
-            }
-        }
+        let targets: Vec<(usize, usize, u16)> = cells
+            .iter()
+            .map(|&(r, c)| (r, c, store.stored_level(r, c)))
+            .collect();
+        outcomes.clear();
+        xbar.restore_levels(&targets, &mut outcomes)?;
         Ok((map, cycles))
     }
 }

@@ -8,15 +8,21 @@
 //! therefore independent work items, and [`OnlineFaultDetector::kind_pass`]
 //! fans them out across the [`par`] worker budget via
 //! [`par::map_indices_hinted`] (groups are few but heavy, so the fan-out is
-//! gated on total estimated work, not item count). The mutating steps — the
-//! `±δ` test writes before the sweep and the restore writes after — stay
-//! sequential. Per-group flags are merged back in group order, so the
-//! predicted fault map is bit-identical to the sequential sweep at any
-//! thread count.
+//! gated on total estimated work, not item count; inside a per-tile
+//! campaign fan-out they run inline). The mutating steps — the `±δ` test
+//! writes before the sweep and the restore writes after — are one
+//! sequential [`Crossbar::nudge_batch`] / [`Crossbar::restore_levels`]
+//! each, in candidate order. Per-group flags are merged back in group
+//! order, so the predicted fault map is bit-identical to the sequential
+//! sweep at any thread count.
+//!
+//! Candidates, flags and predictions are [`rram::bits::BitPlane`]s, so
+//! localization is a word-wise AND (DESIGN.md §6.10).
 
 #![deny(clippy::needless_range_loop)]
 
 use rram::adc::Adc;
+use rram::bits::{for_each_one, BitPlane};
 use rram::crossbar::Crossbar;
 use rram::error::RramError;
 use rram::fault::{FaultKind, FaultMap};
@@ -231,7 +237,8 @@ impl OnlineFaultDetector {
             ));
         }
         let adc = Adc::new(xbar.levels(), self.config.modulo_divisor)?;
-        let store = OffChipStore::read_from(xbar);
+        let mut store = OffChipStore::read_from(xbar);
+        store.ensure_aggregates(self.config.test_size);
         let store_read_cells = (xbar.rows() * xbar.cols()) as u64;
         let (sa0_candidates, sa1_candidates) = match self.config.mode {
             TestMode::AllCells => (
@@ -249,27 +256,25 @@ impl OnlineFaultDetector {
         let pulses_before = xbar.write_pulses();
 
         let delta = i32::from(self.config.delta_levels);
-        let (sa0_map, sa0_cycles, sa0_untested) = self.kind_pass(
+        let (sa0_plane, sa0_cycles, sa0_untested) = self.kind_pass(
             xbar,
             &store,
             &adc,
             &sa0_candidates,
             FaultKind::StuckAt0,
             delta,
-            false,
         )?;
-        let (sa1_map, sa1_cycles, sa1_untested) = self.kind_pass(
+        let (sa1_plane, sa1_cycles, sa1_untested) = self.kind_pass(
             xbar,
             &store,
             &adc,
             &sa1_candidates,
             FaultKind::StuckAt1,
             -delta,
-            false,
         )?;
 
         let canvas = FaultMap::healthy(xbar.rows(), xbar.cols());
-        let predicted = merge_kind_maps(&sa0_map, &sa1_map, &store, xbar.levels(), canvas);
+        let predicted = merge_kind_planes(&sa0_plane, &sa1_plane, &store, xbar.levels(), canvas);
         let outcome = DetectionOutcome {
             predicted,
             sa0_cycles,
@@ -327,8 +332,7 @@ impl OnlineFaultDetector {
         }
         let store_read_cells = store.sync_from(xbar)?;
         store.ensure_aggregates(self.config.test_size);
-        let pending =
-            CandidateMask::from_mask(xbar.rows(), xbar.cols(), store.pending_mask().to_vec());
+        let pending = CandidateMask::from_mask(xbar.rows(), xbar.cols(), store.pending_mask());
         let (sa0_candidates, sa1_candidates) = match self.config.mode {
             TestMode::AllCells => (pending.clone(), pending),
             TestMode::SelectedCells {
@@ -345,40 +349,35 @@ impl OnlineFaultDetector {
         let pulses_before = xbar.write_pulses();
 
         let delta = i32::from(self.config.delta_levels);
-        let (sa0_map, sa0_cycles, sa0_untested) = self.kind_pass(
+        let (sa0_plane, sa0_cycles, sa0_untested) = self.kind_pass(
             xbar,
             store,
             &adc,
             &sa0_candidates,
             FaultKind::StuckAt0,
             delta,
-            true,
         )?;
-        let (sa1_map, sa1_cycles, sa1_untested) = self.kind_pass(
+        let (sa1_plane, sa1_cycles, sa1_untested) = self.kind_pass(
             xbar,
             store,
             &adc,
             &sa1_candidates,
             FaultKind::StuckAt1,
             -delta,
-            true,
         )?;
 
         // Retested cells get fresh verdicts; everything else carries over.
         let canvas = match baseline {
             Some(previous) => {
                 let mut canvas = previous.clone();
-                for (r, c) in sa0_candidates.iter() {
-                    canvas.set(r, c, None);
-                }
-                for (r, c) in sa1_candidates.iter() {
-                    canvas.set(r, c, None);
-                }
+                let mut retested = sa0_candidates.plane().clone();
+                retested.or_assign(sa1_candidates.plane());
+                retested.for_each_one(|r, c| canvas.set(r, c, None));
                 canvas
             }
             None => FaultMap::healthy(xbar.rows(), xbar.cols()),
         };
-        let predicted = merge_kind_maps(&sa0_map, &sa1_map, store, xbar.levels(), canvas);
+        let predicted = merge_kind_planes(&sa0_plane, &sa1_plane, store, xbar.levels(), canvas);
 
         // The campaign's own nudges and restores are in the journal now;
         // drop the round-tripped ones, keep failed restores pending.
@@ -413,17 +412,12 @@ impl OnlineFaultDetector {
 
     /// One fault-kind pass: write `delta` to the candidates, run the
     /// two-direction comparison, restore, and localize. Returns the
-    /// predicted map, the cycles spent, and the number of comparison
+    /// predicted cells, the cycles spent, and the number of comparison
     /// sweeps that failed and were skipped (graceful degradation).
     ///
-    /// With `cached_refs` the expected group sums come from the store's
-    /// incremental aggregates (`expected_*_group_sums_cached`, exact integer
-    /// equality with the dense sweep) instead of a dense per-cell delta
-    /// vector; the comparison results are identical either way.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one private pass shared by both fault kinds"
-    )]
+    /// The expected group sums come from the store's aggregates
+    /// (`expected_*_group_sums_cached`), which must be built for the
+    /// configured test size.
     fn kind_pass(
         &self,
         xbar: &mut Crossbar,
@@ -432,21 +426,15 @@ impl OnlineFaultDetector {
         candidates: &CandidateMask,
         kind: FaultKind,
         delta: i32,
-        cached_refs: bool,
-    ) -> Result<(FaultMap, u64, u64), RramError> {
+    ) -> Result<(BitPlane, u64, u64), RramError> {
         let (rows, cols) = (xbar.rows(), xbar.cols());
         let t = self.config.test_size;
 
-        // Step 1 (Fig. 3): write the increment to every candidate cell, and
-        // (on the dense path) record the per-cell delta for reference
-        // computation.
-        let mut deltas = vec![0i32; if cached_refs { 0 } else { rows * cols }];
-        for (r, c) in candidates.iter() {
-            let _ = xbar.nudge(r, c, delta)?;
-            if !cached_refs {
-                deltas[r * cols + c] = delta;
-            }
-        }
+        // Step 1 (Fig. 3): write the increment to every candidate cell, as
+        // one batch in candidate order.
+        let cells = candidates.plane().ones();
+        let mut outcomes = Vec::new();
+        xbar.nudge_batch(&cells, delta, &mut outcomes)?;
 
         // Steps 2-4: drive row groups, compare all candidate columns. The
         // comparison sweep is read-only, so the candidate-bearing groups fan
@@ -454,8 +442,7 @@ impl OnlineFaultDetector {
         // the flags merge sequentially in group order (bit-identical to the
         // sequential sweep). The dense batched kernels compute every output
         // line's sum — exactly what the hardware's quiescent read produces —
-        // but only candidate lines are compared, matching the old per-line
-        // loop's predictions.
+        // but only candidate lines are compared.
         let mut flags = FlagSet::new();
         let row_groups: Vec<(usize, std::ops::Range<usize>)> = groups(rows, t)
             .into_iter()
@@ -482,19 +469,14 @@ impl OnlineFaultDetector {
             let per_group = par::map_indices_hinted(row_groups.len(), t * cols, |gi| {
                 let group = row_groups[gi].1.clone();
                 let actual = xbar.column_group_sums(group.clone())?;
-                let expected = if cached_refs {
-                    store.expected_column_group_sums_cached(group.clone(), candidates, delta)
-                } else {
-                    store.expected_column_group_sums(group.clone(), &deltas)
-                };
+                let expected =
+                    store.expected_column_group_sums_cached(group.clone(), candidates, delta);
                 let mut hits = Vec::new();
-                for (col, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
-                    if candidates.column_has_candidate(group.clone(), col)
-                        && adc.digitize_mod(sum) != adc.reduce(exp)
-                    {
+                for_each_one(&candidates.columns_in_rows(group), |col| {
+                    if adc.digitize_mod(actual[col]) != adc.reduce(expected[col]) {
                         hits.push(col);
                     }
-                }
+                });
                 Ok::<_, RramError>(hits)
             });
             for ((g, _), hits) in row_groups.iter().zip(per_group) {
@@ -515,11 +497,8 @@ impl OnlineFaultDetector {
             let per_group = par::map_indices_hinted(col_groups.len(), t * rows, |gi| {
                 let group = col_groups[gi].1.clone();
                 let actual = xbar.row_group_sums(group.clone())?;
-                let expected = if cached_refs {
-                    store.expected_row_group_sums_cached(group.clone(), candidates, delta)
-                } else {
-                    store.expected_row_group_sums(group.clone(), &deltas)
-                };
+                let expected =
+                    store.expected_row_group_sums_cached(group.clone(), candidates, delta);
                 let mut hits = Vec::new();
                 for (row, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
                     if candidates.row_has_candidate(row, group.clone())
@@ -542,52 +521,203 @@ impl OnlineFaultDetector {
             }
         }
 
-        // Restore the training weights on the tested cells.
-        for (r, c) in candidates.iter() {
-            let target = store.stored_level(r, c);
-            if xbar.read_level(r, c)? != target {
-                let _ = xbar.write_level(r, c, target)?;
-            }
-        }
+        // Restore the training weights on the tested cells, as one batch
+        // in candidate order.
+        let targets: Vec<(usize, usize, u16)> = cells
+            .iter()
+            .map(|&(r, c)| (r, c, store.stored_row(r)[c]))
+            .collect();
+        outcomes.clear();
+        xbar.restore_levels(&targets, &mut outcomes)?;
 
-        Ok((flags.predict(candidates, kind, t), cycles, untested))
+        Ok((flags.predict_plane(candidates, t), cycles, untested))
     }
 }
 
-/// Merges the two kind passes onto `canvas`, touching only flagged cells
-/// (O(flagged), not O(cells)). When both passes flag the same cell the
+/// Merges the two kind passes' predicted cells onto `canvas`, touching
+/// only predicted cells. When both passes flag the same cell the
 /// controller disambiguates from the stored read: a stuck-at-0 cell always
 /// reads low, a stuck-at-1 cell always reads high.
-fn merge_kind_maps(
-    sa0_map: &FaultMap,
-    sa1_map: &FaultMap,
+fn merge_kind_planes(
+    sa0: &BitPlane,
+    sa1: &BitPlane,
     store: &OffChipStore,
     levels: u16,
     mut canvas: FaultMap,
 ) -> FaultMap {
     let mid = (levels - 1) / 2;
-    for (r, c, kind) in sa0_map.iter_faulty() {
-        canvas.set(r, c, Some(kind));
-    }
-    for (r, c, kind) in sa1_map.iter_faulty() {
-        let resolved = if sa0_map.get(r, c).is_some() {
-            if store.stored_level(r, c) <= mid {
-                FaultKind::StuckAt0
-            } else {
-                FaultKind::StuckAt1
-            }
+    sa0.for_each_one(|r, c| canvas.set(r, c, Some(FaultKind::StuckAt0)));
+    sa1.for_each_one(|r, c| {
+        let resolved = if sa0.get(r, c) && store.stored_level(r, c) <= mid {
+            FaultKind::StuckAt0
         } else {
-            kind
+            FaultKind::StuckAt1
         };
         canvas.set(r, c, Some(resolved));
-    }
+    });
     canvas
+}
+
+/// The per-cell campaign the batched, bit-plane one replaced — one
+/// `nudge` and one read-then-`write_level` per candidate, dense per-cell
+/// delta references, lookup-table localization, map merge — kept as the
+/// oracle of [`OnlineFaultDetector::run`] (sequential sweeps; the sweeps
+/// themselves did not change).
+#[cfg(test)]
+fn run_per_cell(
+    config: &DetectorConfig,
+    xbar: &mut Crossbar,
+) -> Result<DetectionOutcome, RramError> {
+    let adc = Adc::new(xbar.levels(), config.modulo_divisor)?;
+    let store = OffChipStore::read_from(xbar);
+    let (rows, cols) = (xbar.rows(), xbar.cols());
+    let t = config.test_size;
+    let mask = |pred: &dyn Fn(u16) -> bool| -> Vec<bool> {
+        (0..rows * cols)
+            .map(|i| pred(store.stored_level(i / cols, i % cols)))
+            .collect()
+    };
+    let (sa0, sa1) = match config.mode {
+        TestMode::AllCells => (vec![true; rows * cols], vec![true; rows * cols]),
+        TestMode::SelectedCells {
+            sa0_max_level,
+            sa1_min_level,
+        } => (mask(&|l| l <= sa0_max_level), mask(&|l| l >= sa1_min_level)),
+    };
+    let pulses_before = xbar.write_pulses();
+    let delta = i32::from(config.delta_levels);
+    let mut pass =
+        |cand: &[bool], kind: FaultKind, delta: i32| -> Result<(FaultMap, u64), RramError> {
+            let mut deltas = vec![0i32; rows * cols];
+            for i in (0..rows * cols).filter(|&i| cand[i]) {
+                let _ = xbar.nudge(i / cols, i % cols, delta)?;
+                deltas[i] = delta;
+            }
+            let (mut row_flags, mut col_flags) = (Vec::new(), Vec::new());
+            let mut cycles = 0;
+            for (g, group) in groups(rows, t).into_iter().enumerate() {
+                if !group.clone().any(|r| (0..cols).any(|c| cand[r * cols + c])) {
+                    continue;
+                }
+                cycles += 1;
+                let actual = xbar.column_group_sums(group.clone())?;
+                let expected = store.expected_column_group_sums(group.clone(), &deltas);
+                for c in 0..cols {
+                    if group.clone().any(|r| cand[r * cols + c])
+                        && adc.digitize_mod(actual[c]) != adc.reduce(expected[c])
+                    {
+                        row_flags.push((g, c));
+                    }
+                }
+            }
+            for (g, group) in groups(cols, t).into_iter().enumerate() {
+                if !(0..rows).any(|r| group.clone().any(|c| cand[r * cols + c])) {
+                    continue;
+                }
+                cycles += 1;
+                let actual = xbar.row_group_sums(group.clone())?;
+                let expected = store.expected_row_group_sums(group.clone(), &deltas);
+                for r in 0..rows {
+                    if group.clone().any(|c| cand[r * cols + c])
+                        && adc.digitize_mod(actual[r]) != adc.reduce(expected[r])
+                    {
+                        col_flags.push((g, r));
+                    }
+                }
+            }
+            for i in (0..rows * cols).filter(|&i| cand[i]) {
+                let (r, c) = (i / cols, i % cols);
+                let target = store.stored_level(r, c);
+                if xbar.read_level(r, c)? != target {
+                    let _ = xbar.write_level(r, c, target)?;
+                }
+            }
+            let candidates = CandidateMask::from_mask(rows, cols, cand);
+            let map =
+                crate::localize::predict_with_luts(&row_flags, &col_flags, &candidates, kind, t);
+            Ok((map, cycles))
+        };
+    let (sa0_map, sa0_cycles) = pass(&sa0, FaultKind::StuckAt0, delta)?;
+    let (sa1_map, sa1_cycles) = pass(&sa1, FaultKind::StuckAt1, -delta)?;
+    let mid = (xbar.levels() - 1) / 2;
+    let mut predicted = FaultMap::healthy(rows, cols);
+    for (r, c, kind) in sa0_map.iter_faulty() {
+        predicted.set(r, c, Some(kind));
+    }
+    for (r, c, kind) in sa1_map.iter_faulty() {
+        let resolved = match sa0_map.get(r, c) {
+            Some(_) if store.stored_level(r, c) <= mid => FaultKind::StuckAt0,
+            Some(_) => FaultKind::StuckAt1,
+            None => kind,
+        };
+        predicted.set(r, c, Some(resolved));
+    }
+    let store_read_cells = (rows * cols) as u64;
+    Ok(DetectionOutcome {
+        predicted,
+        sa0_cycles,
+        sa1_cycles,
+        write_pulses: xbar.write_pulses() - pulses_before,
+        sa0_candidates: sa0.iter().filter(|&&m| m).count(),
+        sa1_candidates: sa1.iter().filter(|&&m| m).count(),
+        untested_groups: 0,
+        store_read_cells,
+        store_read_cycles: store_read_cells.div_ceil(cols as u64),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::DetectionReport;
+    use rram::endurance::EnduranceModel;
+    use rram::variation::WriteVariation;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A campaign is bit-identical to the per-cell campaign it
+        /// replaced — outcome and every bit of array state — with write
+        /// variation on, cells wearing out during the test, and sizes and
+        /// test sizes that do not divide each other, past one 64-bit word.
+        #[test]
+        fn campaign_matches_the_per_cell_campaign(
+            seed in 0u64..1_000,
+            rows in 1usize..90,
+            cols in 1usize..90,
+            test_size in 1usize..70,
+            selected in proptest::prelude::any::<bool>(),
+            delta in 1u16..3,
+        ) {
+            let build = || {
+                let mut x = CrossbarBuilder::new(rows, cols)
+                    .variation(WriteVariation::new(0.04))
+                    .endurance(EnduranceModel::new(4.0, 1.5))
+                    .initial_faults(SpatialDistribution::Uniform, 0.1)
+                    .seed(seed)
+                    .build()
+                    .unwrap();
+                use rand::Rng;
+                let mut rng = rram::rng::sim_rng(seed + 1);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let _ = x.write_level(r, c, rng.gen_range(0..8)).unwrap();
+                    }
+                }
+                x
+            };
+            let mut config = DetectorConfig::new(test_size).unwrap().with_delta_levels(delta);
+            if selected {
+                config = config.with_selected_cells();
+            }
+            let (mut a, mut b) = (build(), build());
+            let got = OnlineFaultDetector::new(config).run(&mut a).unwrap();
+            let want = run_per_cell(&config, &mut b).unwrap();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(a.export_state(), b.export_state());
+            proptest::prop_assert_eq!(a.conductance_plane_f64(), b.conductance_plane_f64());
+        }
+    }
     use rram::crossbar::CrossbarBuilder;
     use rram::spatial::SpatialDistribution;
 

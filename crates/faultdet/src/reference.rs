@@ -18,6 +18,7 @@
 //!   still await testing, and per-group sum aggregates make the expected
 //!   group references O(candidates) instead of O(cells) to compute.
 
+use rram::bits::{for_each_one, for_each_one_in};
 use rram::crossbar::Crossbar;
 use rram::RramError;
 
@@ -43,14 +44,13 @@ impl GroupAggregates {
         let col_groups = cols.div_ceil(test_size);
         let mut col_base = vec![0u64; row_groups * cols];
         let mut row_base = vec![0u64; col_groups * rows];
-        for r in 0..rows {
-            let row = &stored[r * cols..(r + 1) * cols];
+        for (r, row) in stored.chunks_exact(cols).enumerate() {
             let group_row = &mut col_base[(r / test_size) * cols..(r / test_size + 1) * cols];
             for (b, &lvl) in group_row.iter_mut().zip(row) {
                 *b += u64::from(lvl);
             }
-            for (c, &lvl) in row.iter().enumerate() {
-                row_base[(c / test_size) * rows + r] += u64::from(lvl);
+            for (g, part) in row.chunks(test_size).enumerate() {
+                row_base[g * rows + r] += part.iter().map(|&lvl| u64::from(lvl)).sum::<u64>();
             }
         }
         Self {
@@ -280,6 +280,16 @@ impl OffChipStore {
         self.stored[row * self.cols + col]
     }
 
+    /// The stored (pre-test) levels of one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn stored_row(&self, row: usize) -> &[u16] {
+        assert!(row < self.rows, "row {row} out of bounds");
+        &self.stored[row * self.cols..(row + 1) * self.cols]
+    }
+
     /// The level a cell is *expected* to read after a `delta`-level test
     /// write, saturating at the range boundaries — `delta = 0` means the
     /// cell was not written (not a test candidate).
@@ -329,16 +339,18 @@ impl OffChipStore {
 
     /// Batched form of [`expected_column_group_sum`]: the expected sum over
     /// the row slice for *every* column at once, as one dense row-major
-    /// sweep over the snapshot. Entry `col` equals
-    /// `expected_column_group_sum(rows, col, deltas)` exactly (same
-    /// clamped-level accumulation, ascending row order), so callers that
-    /// sweep whole detection groups avoid `cols` separate strided walks.
+    /// sweep over the snapshot and a dense per-cell delta plane. Entry
+    /// `col` equals `expected_column_group_sum(rows, col, deltas)` exactly.
+    /// The oracle of [`expected_column_group_sums_cached`], which every
+    /// campaign uses.
     ///
     /// [`expected_column_group_sum`]: Self::expected_column_group_sum
+    /// [`expected_column_group_sums_cached`]: Self::expected_column_group_sums_cached
     ///
     /// # Panics
     ///
     /// Panics if the row range is out of bounds.
+    #[cfg(test)]
     pub fn expected_column_group_sums(
         &self,
         rows: std::ops::Range<usize>,
@@ -360,13 +372,16 @@ impl OffChipStore {
 
     /// Batched form of [`expected_row_group_sum`]: the expected sum over the
     /// column slice for *every* row at once. Entry `row` equals
-    /// `expected_row_group_sum(row, cols, deltas)` exactly.
+    /// `expected_row_group_sum(row, cols, deltas)` exactly. The oracle of
+    /// [`expected_row_group_sums_cached`].
     ///
     /// [`expected_row_group_sum`]: Self::expected_row_group_sum
+    /// [`expected_row_group_sums_cached`]: Self::expected_row_group_sums_cached
     ///
     /// # Panics
     ///
     /// Panics if the column range is out of bounds.
+    #[cfg(test)]
     pub fn expected_row_group_sums(
         &self,
         cols: std::ops::Range<usize>,
@@ -386,18 +401,19 @@ impl OffChipStore {
         sums
     }
 
-    /// Aggregate-backed form of [`expected_column_group_sums`] for the
-    /// uniform-delta case: the sum for each column is the cached base sum of
-    /// stored levels plus, for every *candidate* cell, the saturating
-    /// adjustment `clamp(stored + delta) - stored`. Bit-for-bit equal to the
-    /// dense method called with `deltas[cell] = delta` on candidates and `0`
-    /// elsewhere.
+    /// The expected level sum over a row slice for every column, when
+    /// each candidate cell was written `delta` and every other cell was
+    /// not: the cached base sum of stored levels plus, for every candidate
+    /// cell, the saturating adjustment `clamp(stored + delta) - stored`.
+    /// Entry `col` equals [`expected_column_group_sum`] with
+    /// `deltas[cell] = delta` on candidates and `0` elsewhere (a dense
+    /// sweep kept as this method's test oracle).
     ///
-    /// The row range must be one of the groups [`ensure_aggregates`] was
+    /// The row range should be one of the groups [`ensure_aggregates`] was
     /// built for; other ranges fall back to a dense base-sum scan (still
     /// exact, just not O(candidates)).
     ///
-    /// [`expected_column_group_sums`]: Self::expected_column_group_sums
+    /// [`expected_column_group_sum`]: Self::expected_column_group_sum
     /// [`ensure_aggregates`]: Self::ensure_aggregates
     ///
     /// # Panics
@@ -415,25 +431,24 @@ impl OffChipStore {
             candidates.rows() == self.rows && candidates.cols() == self.cols,
             "candidate mask dimensions must match"
         );
-        let top = i64::from(self.levels - 1);
+        let adjust = self.adjustments(delta);
         let mut sums = self.column_group_base(&rows);
         for r in rows {
-            let mask = candidates.row_slice(r);
-            let stored = &self.stored[r * self.cols..(r + 1) * self.cols];
-            for (c, (&is_candidate, &lvl)) in mask.iter().zip(stored).enumerate() {
-                if is_candidate {
-                    adjust(&mut sums[c], i64::from(lvl), delta, top);
-                }
-            }
+            let stored = self.stored_row(r);
+            for_each_one(candidates.row_words(r), |c| {
+                sums[c] = sums[c].wrapping_add(adjust[usize::from(stored[c])]);
+            });
         }
         sums
     }
 
-    /// Aggregate-backed form of [`expected_row_group_sums`] for the
-    /// uniform-delta case; see [`expected_column_group_sums_cached`].
+    /// The row-direction twin of [`expected_column_group_sums_cached`]:
+    /// the expected level sum over a column slice for every row. Entry
+    /// `row` equals [`expected_row_group_sum`] with the same per-cell
+    /// deltas.
     ///
-    /// [`expected_row_group_sums`]: Self::expected_row_group_sums
     /// [`expected_column_group_sums_cached`]: Self::expected_column_group_sums_cached
+    /// [`expected_row_group_sum`]: Self::expected_row_group_sum
     ///
     /// # Panics
     ///
@@ -450,19 +465,26 @@ impl OffChipStore {
             candidates.rows() == self.rows && candidates.cols() == self.cols,
             "candidate mask dimensions must match"
         );
-        let top = i64::from(self.levels - 1);
+        let adjust = self.adjustments(delta);
         let mut sums = self.row_group_base(&cols);
         for (r, s) in sums.iter_mut().enumerate() {
-            let base = r * self.cols;
-            let mask = &candidates.row_slice(r)[cols.start..cols.end];
-            let stored = &self.stored[base + cols.start..base + cols.end];
-            for (&is_candidate, &lvl) in mask.iter().zip(stored) {
-                if is_candidate {
-                    adjust(s, i64::from(lvl), delta, top);
-                }
-            }
+            let stored = self.stored_row(r);
+            for_each_one_in(candidates.row_words(r), cols.start, cols.end, |c| {
+                *s = s.wrapping_add(adjust[usize::from(stored[c])]);
+            });
         }
         sums
+    }
+
+    /// Per stored level, what a `delta` test write adds to a group sum:
+    /// `clamp(level + delta) - level` as a two's-complement `u64`. Adding
+    /// it with wrapping arithmetic yields the exact sum, because the true
+    /// sum is a non-negative integer below 2⁶⁴.
+    fn adjustments(&self, delta: i32) -> Vec<u64> {
+        let top = i64::from(self.levels - 1);
+        (0..=top)
+            .map(|level| ((level + i64::from(delta)).clamp(0, top) - level) as u64)
+            .collect()
     }
 
     /// Base (delta-free) column sums over a row slice: served from the
@@ -625,18 +647,6 @@ pub struct StoreState {
     pub pending: Vec<bool>,
     /// Number of `true` entries in `pending`.
     pub pending_count: usize,
-}
-
-/// Adds `clamp(stored + delta) - stored` to a group sum without signed
-/// round-trips on the accumulator.
-#[inline]
-fn adjust(sum: &mut u64, stored: i64, delta: i32, top: i64) {
-    let expected = (stored + i64::from(delta)).clamp(0, top);
-    if expected >= stored {
-        *sum += (expected - stored) as u64;
-    } else {
-        *sum -= (stored - expected) as u64;
-    }
 }
 
 #[cfg(test)]
@@ -816,7 +826,7 @@ mod tests {
             for i in [0usize, 6, 11, 17, 23, 29, 34] {
                 mask[i] = true;
             }
-            let candidates = CandidateMask::from_mask(7, 5, mask.clone());
+            let candidates = CandidateMask::from_mask(7, 5, &mask);
             for delta in [1i32, -1, 3, -9] {
                 let deltas: Vec<i32> = mask.iter().map(|&m| if m { delta } else { 0 }).collect();
                 for g in 0..7usize.div_ceil(t) {

@@ -7,23 +7,22 @@
 //! shrinks both the test time (skipped groups) and the number of false
 //! positives (flagged intersections only ever contain candidates).
 
+use rram::bits::{any_in_range, BitPlane};
+
 use crate::reference::OffChipStore;
 
-/// A per-cell candidate mask for one fault kind.
+/// A per-cell candidate mask for one fault kind: a [`BitPlane`], so the
+/// group and line queries of a detection pass are word operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateMask {
-    rows: usize,
-    cols: usize,
-    mask: Vec<bool>,
+    plane: BitPlane,
 }
 
 impl CandidateMask {
     /// Marks every cell as a candidate (all-cells testing).
     pub fn all(rows: usize, cols: usize) -> Self {
         Self {
-            rows,
-            cols,
-            mask: vec![true; rows * cols],
+            plane: BitPlane::full(rows, cols),
         }
     }
 
@@ -41,14 +40,17 @@ impl CandidateMask {
     }
 
     fn from_predicate(store: &OffChipStore, pred: impl Fn(u16) -> bool) -> Self {
-        let (rows, cols) = (store.rows(), store.cols());
-        let mut mask = vec![false; rows * cols];
-        for r in 0..rows {
-            for c in 0..cols {
-                mask[r * cols + c] = pred(store.stored_level(r, c));
+        let mut plane = BitPlane::new(store.rows(), store.cols());
+        for r in 0..store.rows() {
+            let levels = store.stored_row(r).chunks(64);
+            for (word, chunk) in plane.row_mut(r).iter_mut().zip(levels) {
+                *word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (b, &level)| w | u64::from(pred(level)) << b);
             }
         }
-        Self { rows, cols, mask }
+        Self { plane }
     }
 
     /// Builds a mask from an explicit row-major bitmap — the incremental
@@ -57,13 +59,10 @@ impl CandidateMask {
     /// # Panics
     ///
     /// Panics if `mask.len() != rows * cols`.
-    pub fn from_mask(rows: usize, cols: usize, mask: Vec<bool>) -> Self {
-        assert_eq!(
-            mask.len(),
-            rows * cols,
-            "mask length must equal rows * cols"
-        );
-        Self { rows, cols, mask }
+    pub fn from_mask(rows: usize, cols: usize, mask: &[bool]) -> Self {
+        Self {
+            plane: BitPlane::from_bools(rows, cols, mask),
+        }
     }
 
     /// Intersects the mask with a stored-level predicate (selected-cell
@@ -74,13 +73,21 @@ impl CandidateMask {
     /// Panics if the store dimensions differ from the mask's.
     pub fn restrict_levels(mut self, store: &OffChipStore, pred: impl Fn(u16) -> bool) -> Self {
         assert!(
-            store.rows() == self.rows && store.cols() == self.cols,
+            store.rows() == self.rows() && store.cols() == self.cols(),
             "store dimensions must match the mask"
         );
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let i = r * self.cols + c;
-                self.mask[i] = self.mask[i] && pred(store.stored_level(r, c));
+        for r in 0..self.rows() {
+            let stored = store.stored_row(r);
+            for word_index in 0..self.plane.words_per_row() {
+                let word = &mut self.plane.row_mut(r)[word_index];
+                let mut rest = *word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    if !pred(stored[word_index * 64 + bit]) {
+                        *word &= !(1u64 << bit);
+                    }
+                }
             }
         }
         self
@@ -88,12 +95,17 @@ impl CandidateMask {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.plane.rows()
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.plane.cols()
+    }
+
+    /// The candidates as a bit plane.
+    pub fn plane(&self) -> &BitPlane {
+        &self.plane
     }
 
     /// Whether `(row, col)` is a candidate.
@@ -102,61 +114,62 @@ impl CandidateMask {
     ///
     /// Panics if out of bounds.
     pub fn contains(&self, row: usize, col: usize) -> bool {
-        assert!(
-            row < self.rows && col < self.cols,
-            "({row}, {col}) out of bounds"
-        );
-        self.mask[row * self.cols + col]
+        self.plane.get(row, col)
     }
 
     /// Total number of candidate cells.
     pub fn count(&self) -> usize {
-        self.mask.iter().filter(|&&m| m).count()
+        self.plane.count_ones()
     }
 
     /// Whether a row slice contains at least one candidate (drives the
     /// decision to spend a test cycle on this group).
-    pub fn any_in_rows(&self, rows: std::ops::Range<usize>) -> bool {
-        rows.clone()
-            .any(|r| (0..self.cols).any(|c| self.mask[r * self.cols + c]))
+    pub fn any_in_rows(&self, mut rows: std::ops::Range<usize>) -> bool {
+        rows.any(|r| self.plane.row(r).iter().any(|&w| w != 0))
     }
 
     /// Whether a column slice contains at least one candidate.
     pub fn any_in_cols(&self, cols: std::ops::Range<usize>) -> bool {
-        (0..self.rows).any(|r| cols.clone().any(|c| self.mask[r * self.cols + c]))
+        (0..self.rows()).any(|r| any_in_range(self.plane.row(r), cols.start, cols.end))
     }
 
-    /// Whether column `col` has a candidate within the given row slice
-    /// (controls which output ports are compared during a row-group test).
-    pub fn column_has_candidate(&self, rows: std::ops::Range<usize>, col: usize) -> bool {
-        rows.clone().any(|r| self.mask[r * self.cols + col])
+    /// The columns with a candidate within the given row slice, as one
+    /// row's words (controls which output ports are compared during a
+    /// row-group test).
+    pub fn columns_in_rows(&self, rows: std::ops::Range<usize>) -> Vec<u64> {
+        let mut cols = vec![0u64; self.plane.words_per_row()];
+        for r in rows {
+            for (acc, &w) in cols.iter_mut().zip(self.plane.row(r)) {
+                *acc |= w;
+            }
+        }
+        cols
+    }
+
+    /// Whether column `col` has a candidate within the given row slice.
+    pub fn column_has_candidate(&self, mut rows: std::ops::Range<usize>, col: usize) -> bool {
+        rows.any(|r| self.plane.get(r, col))
     }
 
     /// Whether row `row` has a candidate within the given column slice.
     pub fn row_has_candidate(&self, row: usize, cols: std::ops::Range<usize>) -> bool {
-        cols.clone().any(|c| self.mask[row * self.cols + c])
+        any_in_range(self.plane.row(row), cols.start, cols.end)
     }
 
-    /// One row of the mask as a slice (`row_slice(r)[c]` ⇔ `contains(r, c)`).
+    /// The words of one row of the mask (bit `c % 64` of word `c / 64` ⇔
+    /// `contains(row, c)`).
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
-    pub fn row_slice(&self, row: usize) -> &[bool] {
-        assert!(row < self.rows, "row {row} out of bounds");
-        &self.mask[row * self.cols..(row + 1) * self.cols]
+    pub fn row_words(&self, row: usize) -> &[u64] {
+        assert!(row < self.rows(), "row {row} out of bounds");
+        self.plane.row(row)
     }
 
     /// Iterates over candidate coordinates in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.mask
-            .chunks_exact(self.cols)
-            .enumerate()
-            .flat_map(|(r, row)| {
-                row.iter()
-                    .enumerate()
-                    .filter_map(move |(c, &m)| m.then_some((r, c)))
-            })
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> {
+        self.plane.ones().into_iter()
     }
 }
 
@@ -230,9 +243,9 @@ mod tests {
         for i in [0usize, 5, 10] {
             pending[i] = true;
         }
-        let m = CandidateMask::from_mask(4, 4, pending);
+        let m = CandidateMask::from_mask(4, 4, &pending);
         assert_eq!(m.count(), 3);
-        assert_eq!(m.row_slice(1), &[false, true, false, false]);
+        assert_eq!(m.row_words(1), &[0b0010]);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![(0, 0), (1, 1), (2, 2)]);
         // SA0 restriction drops the level-7 cell but keeps low-level ones.
         let sa0 = m.restrict_levels(&store, |level| level <= 1);

@@ -34,7 +34,7 @@ use crate::model::{FileRole, SourceFile, Workspace};
 /// determinism boundary (C1).
 pub const PAR_HELPERS: [&str; 6] = [
     "for_each_chunk_mut",
-    "for_each_chunk_mut_hinted",
+    "for_each_chunk_mut_weighted",
     "for_each_row_block_mut",
     "map_indices",
     "map_indices_hinted",

@@ -175,40 +175,7 @@ pub fn try_magnitude_prune_per_layer(
         let params = net
             .layer_params_mut(layer_index)
             .expect("weight_layer_indices returned a parameterless layer");
-        let n = params.weights.len();
-        let keep_threshold = {
-            let mut magnitudes: Vec<f32> = params.weights.iter().map(|w| w.abs()).collect();
-            magnitudes.sort_by(|a, b| a.total_cmp(b));
-            let cut = ((fraction * n as f64).round() as usize).min(n);
-            if cut == 0 {
-                None
-            } else {
-                Some((cut, magnitudes[cut - 1]))
-            }
-        };
-        let mut pruned = vec![false; n];
-        if let Some((cut, threshold)) = keep_threshold {
-            // Mark strictly-below-threshold weights, then fill up to `cut`
-            // with ties so the count is exact.
-            let mut marked = 0usize;
-            for (m, &w) in pruned.iter_mut().zip(params.weights.iter()) {
-                if w.abs() < threshold {
-                    *m = true;
-                    marked += 1;
-                }
-            }
-            if marked < cut {
-                for (m, &w) in pruned.iter_mut().zip(params.weights.iter()) {
-                    if marked >= cut {
-                        break;
-                    }
-                    if !*m && w.abs() == threshold {
-                        *m = true;
-                        marked += 1;
-                    }
-                }
-            }
-        }
+        let pruned = prune_smallest(params.weights, fraction);
         layers.push(LayerMask {
             layer_index,
             shape: params.weight_shape,
@@ -216,6 +183,75 @@ pub fn try_magnitude_prune_per_layer(
         });
     }
     Ok(PruneMask { layers })
+}
+
+/// The mask marking the `round(fraction · n)` smallest magnitudes of
+/// `weights` (ties broken by position), ordered by `f32::total_cmp` on
+/// `|w|`: the magnitudes are sign-cleared, so NaNs rank above `+∞` and the
+/// count is exact even when the cut lands on a NaN.
+///
+/// The cut value is found by selection, not a full sort: it equals
+/// `sorted[cut - 1]` of the totally ordered magnitudes.
+fn prune_smallest(weights: &[f32], fraction: f64) -> Vec<bool> {
+    let n = weights.len();
+    let cut = ((fraction * n as f64).round() as usize).min(n);
+    let mut pruned = vec![false; n];
+    if cut == 0 {
+        return pruned;
+    }
+    let mut magnitudes: Vec<f32> = weights.iter().map(|w| w.abs()).collect();
+    let (_, &mut threshold, _) = magnitudes.select_nth_unstable_by(cut - 1, f32::total_cmp);
+    // Mark strictly-below-threshold weights, then fill up to `cut` with
+    // ties in position order so the count is exact. Both passes select
+    // instead of branching: about half the weights are marked, and after a
+    // pruning round half are parked at exactly zero, the usual tie, in no
+    // pattern a branch predictor could learn.
+    let mut marked = 0usize;
+    for (m, &w) in pruned.iter_mut().zip(weights) {
+        let below = w.abs().total_cmp(&threshold).is_lt();
+        *m = below;
+        marked += usize::from(below);
+    }
+    for (m, &w) in pruned.iter_mut().zip(weights) {
+        let tie = w.abs().total_cmp(&threshold).is_eq() && marked < cut;
+        *m |= tie;
+        marked += usize::from(tie);
+    }
+    pruned
+}
+
+/// The full-sort cut with IEEE comparisons that [`prune_smallest`]
+/// replaced — its oracle on NaN-free weights, where it agrees bit for bit.
+#[cfg(test)]
+fn prune_smallest_by_sort(weights: &[f32], fraction: f64) -> Vec<bool> {
+    let n = weights.len();
+    let mut magnitudes: Vec<f32> = weights.iter().map(|w| w.abs()).collect();
+    magnitudes.sort_by(|a, b| a.total_cmp(b));
+    let cut = ((fraction * n as f64).round() as usize).min(n);
+    let mut pruned = vec![false; n];
+    if cut == 0 {
+        return pruned;
+    }
+    let threshold = magnitudes[cut - 1];
+    let mut marked = 0usize;
+    for (m, &w) in pruned.iter_mut().zip(weights) {
+        if w.abs() < threshold {
+            *m = true;
+            marked += 1;
+        }
+    }
+    if marked < cut {
+        for (m, &w) in pruned.iter_mut().zip(weights) {
+            if marked >= cut {
+                break;
+            }
+            if !*m && w.abs() == threshold {
+                *m = true;
+                marked += 1;
+            }
+        }
+    }
+    pruned
 }
 
 /// Zeroes every pruned weight in the network.
@@ -255,10 +291,9 @@ pub fn try_apply_mask(net: &mut Network, mask: &PruneMask) -> Result<(), crate::
                 actual: vec![layer_mask.pruned.len()],
             });
         }
+        // A select, not a branch: half a layer may be pruned, at random.
         for (w, &p) in params.weights.iter_mut().zip(&layer_mask.pruned) {
-            if p {
-                *w = 0.0;
-            }
+            *w = if p { 0.0 } else { *w };
         }
     }
     Ok(())
@@ -277,6 +312,64 @@ mod tests {
         n.push(Relu::new());
         n.push(Dense::new(20, 5, &mut rng));
         n
+    }
+
+    #[test]
+    fn nan_magnitude_at_the_cut_still_prunes_exactly_cut_weights() {
+        // A cut of five of these six weights lands on a NaN: NaNs rank
+        // above +∞ once the sign is cleared. IEEE `<` and `==` against a
+        // NaN cut are always false, which used to prune nothing.
+        let weights = [0.5, f32::NAN, -0.1, -f32::NAN, 2.0, f32::INFINITY];
+        let pruned = prune_smallest(&weights, 0.8);
+        assert_eq!(pruned, [true, true, true, false, true, true]);
+        let mut rng = init_rng(4);
+        let mut n = Network::new();
+        n.push(Dense::new(2, 3, &mut rng));
+        n.layer_params_mut(0)
+            .unwrap()
+            .weights
+            .copy_from_slice(&weights);
+        let mask = try_magnitude_prune_per_layer(&mut n, &[0.8]).unwrap();
+        assert_eq!(mask.layer(0).pruned.iter().filter(|&&p| p).count(), 5);
+    }
+
+    /// The prefix of a stable sort of the positions by `total_cmp` on the
+    /// magnitude: the exact specification of the mask.
+    fn stable_sort_prefix(weights: &[f32], fraction: f64) -> Vec<bool> {
+        let n = weights.len();
+        let cut = ((fraction * n as f64).round() as usize).min(n);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| weights[a].abs().total_cmp(&weights[b].abs()));
+        let mut pruned = vec![false; n];
+        for &i in &order[..cut] {
+            pruned[i] = true;
+        }
+        pruned
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The selected cut gives the mask of the full sort: identical to the
+        /// old IEEE-comparison mask whenever no NaN is present, and always
+        /// the stable-sort prefix of `cut` weights. Weights are drawn from a
+        /// small pool so ties, ±0, ±∞ and NaNs are common.
+        #[test]
+        fn selected_cut_matches_the_full_sort(
+            picks in proptest::collection::vec(0usize..12, 0..40),
+            fraction in 0.0f64..=1.0,
+        ) {
+            let pool = [
+                0.0f32, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5,
+                f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, 1e-30,
+            ];
+            let weights: Vec<f32> = picks.iter().map(|&i| pool[i]).collect();
+            let pruned = prune_smallest(&weights, fraction);
+            proptest::prop_assert_eq!(&pruned, &stable_sort_prefix(&weights, fraction));
+            if !weights.iter().any(|w| w.is_nan()) {
+                proptest::prop_assert_eq!(&pruned, &prune_smallest_by_sort(&weights, fraction));
+            }
+        }
     }
 
     #[test]

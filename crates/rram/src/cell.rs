@@ -29,6 +29,7 @@ pub enum WriteOutcome {
 
 impl WriteOutcome {
     /// Whether the stored value actually changed.
+    #[inline]
     pub fn changed(&self) -> bool {
         matches!(self, WriteOutcome::Applied | WriteOutcome::WoreOut(_))
     }
@@ -82,6 +83,7 @@ impl RramCell {
     }
 
     /// The ideal programmed level. Stuck cells report their pinned level.
+    #[inline]
     pub fn level(&self) -> u16 {
         match self.state {
             FaultState::Healthy => self.level,
@@ -91,6 +93,7 @@ impl RramCell {
     }
 
     /// The analog normalized conductance in `[0, 1]`, including variation.
+    #[inline]
     pub fn conductance(&self) -> f64 {
         match self.state {
             FaultState::Healthy => self.analog,
@@ -100,6 +103,7 @@ impl RramCell {
     }
 
     /// The cell's health state.
+    #[inline]
     pub fn state(&self) -> FaultState {
         self.state
     }
@@ -136,6 +140,7 @@ impl RramCell {
     /// level. Writes targeting the current level are skipped by the
     /// peripheral logic (the paper's threshold-training relies on exactly
     /// this suppression) and cost nothing.
+    #[inline]
     pub fn write_level(&mut self, target: u16, variation_noise: f64) -> WriteOutcome {
         let target = target.min(self.levels - 1);
         if let FaultState::Stuck(kind) = self.state {
@@ -168,6 +173,7 @@ impl RramCell {
     /// Wear accounting matches [`RramCell::write_level`]: a pulse is issued
     /// (and endurance consumed) whenever the target differs from the current
     /// analog value.
+    #[inline]
     pub fn write_analog(&mut self, target: f64, variation_noise: f64) -> WriteOutcome {
         let target = target.clamp(0.0, 1.0);
         if let FaultState::Stuck(kind) = self.state {
@@ -192,6 +198,7 @@ impl RramCell {
     /// write-verify loop — the paper's original on-line training method
     /// pulses every cell on every iteration, which is exactly the wear that
     /// threshold training eliminates.
+    #[inline]
     pub fn pulse_analog(&mut self, target: f64, variation_noise: f64) -> WriteOutcome {
         let target = target.clamp(0.0, 1.0);
         if let FaultState::Stuck(kind) = self.state {
@@ -212,6 +219,7 @@ impl RramCell {
     ///
     /// Returns [`WriteOutcome::Saturated`] if the cell was already at the
     /// range boundary in the requested direction (no pulse issued).
+    #[inline]
     pub fn nudge(&mut self, delta: i32, variation_noise: f64) -> WriteOutcome {
         if let FaultState::Stuck(kind) = self.state {
             return WriteOutcome::Stuck(kind);
@@ -267,6 +275,7 @@ impl RramCell {
     }
 
     /// Whether the endurance budget has been exhausted.
+    #[inline]
     pub fn is_worn_out(&self) -> bool {
         self.endurance_left == 0
     }

@@ -35,6 +35,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::bits::BitPlane;
 use crate::cell::{RramCell, WriteOutcome};
 use crate::endurance::EnduranceModel;
 use crate::error::RramError;
@@ -295,6 +296,7 @@ impl CrossbarBuilder {
             cells,
             plane32,
             plane64,
+            faulty: BitPlane::new(self.rows, self.cols),
             endurance: self.endurance,
             variation: self.variation,
             rng,
@@ -326,6 +328,12 @@ pub struct Crossbar {
     /// Row-major cached conductances at full precision, consumed by the
     /// quiescent group-sum reads (the ADC digitizes analog `f64` sums).
     plane64: Vec<f64>,
+    /// The stuck cells (`faulty.get(r, c) ⇔ cells[r * cols + c]` carries
+    /// a hard fault) — the ground truth detection campaigns are scored
+    /// against. A cell only becomes stuck in `settle` (wear-out) and
+    /// [`Crossbar::apply_fault_map`], and never heals, so those two set
+    /// the bit.
+    faulty: BitPlane,
     endurance: EnduranceModel,
     variation: WriteVariation,
     rng: StdRng,
@@ -460,16 +468,12 @@ impl Crossbar {
         col: usize,
         target: u16,
     ) -> Result<WriteOutcome, RramError> {
-        if target >= self.levels {
-            return Err(RramError::LevelOutOfRange {
-                level: target,
-                levels: self.levels,
-            });
-        }
+        self.check_level(target)?;
         let i = self.idx(row, col)?;
-        let noise = self.sample_noise();
-        let outcome = self.cells[i].write_level(target, noise);
-        Ok(self.finish_write(i, outcome))
+        let before = (self.write_pulses, self.wear_faults);
+        let outcome = self.write_level_cell(i, target);
+        self.publish_counters(before);
+        Ok(outcome)
     }
 
     /// Programs an arbitrary analog conductance in `[0, 1]` — the write
@@ -658,27 +662,192 @@ impl Crossbar {
         self.settle(i, outcome)
     }
 
-    /// Adjusts the cell level by `delta` (the paper's "Write ±δw").
+    /// Adjusts the cell level by `delta` (the paper's "Write ±δw"). A
+    /// one-cell [`Crossbar::nudge_batch`].
     ///
     /// # Errors
     ///
     /// Returns [`RramError::OutOfBounds`] for invalid coordinates.
     pub fn nudge(&mut self, row: usize, col: usize, delta: i32) -> Result<WriteOutcome, RramError> {
         let i = self.idx(row, col)?;
+        let before = (self.write_pulses, self.wear_faults);
+        let outcome = self.nudge_cell(i, delta);
+        self.publish_counters(before);
+        Ok(outcome)
+    }
+
+    /// Issues the test write `delta` (the paper's "Write ±δw") to every
+    /// `(row, col)` entry, in slice order, appending one outcome per entry
+    /// to `outcomes` — the write step of a detection pass.
+    ///
+    /// The funnel follows [`Crossbar::pulse_batch`]: every coordinate is
+    /// checked before any state is touched, then each cell runs exactly
+    /// the sequence of [`Crossbar::nudge`] (one noise draw, drawn even for
+    /// a stuck cell, the cell nudge, the settling step with its wear-out
+    /// draw), and the telemetry counters are bumped once by the batch's
+    /// totals. A batch is therefore bit-identical to the per-cell loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RramError::OutOfBounds`] for the first out-of-range entry
+    /// (in slice order); the array is then untouched.
+    pub fn nudge_batch(
+        &mut self,
+        cells: &[(usize, usize)],
+        delta: i32,
+        outcomes: &mut Vec<WriteOutcome>,
+    ) -> Result<(), RramError> {
+        for &(row, col) in cells {
+            self.idx(row, col)?;
+        }
+        outcomes.reserve(cells.len());
+        let before = (self.write_pulses, self.wear_faults);
+        for &(row, col) in cells {
+            outcomes.push(self.nudge_cell(row * self.cols + col, delta));
+        }
+        self.publish_counters(before);
+        Ok(())
+    }
+
+    /// Writes each `(row, col, level)` entry's level wherever the cell reads
+    /// a different level, in slice order, appending one outcome per entry
+    /// to `outcomes` — the restore step of a detection pass. A cell that
+    /// already reads its level is skipped without a noise draw and reports
+    /// [`WriteOutcome::NoChange`]; any other cell runs exactly the sequence
+    /// of [`Crossbar::write_level`] (a stuck cell reads its pinned level, so
+    /// it is written, draws, and reports `Stuck`).
+    ///
+    /// Checks come first and counters are bumped once, as in
+    /// [`Crossbar::nudge_batch`], so a batch is bit-identical to the
+    /// per-cell read-then-write loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RramError::LevelOutOfRange`] or [`RramError::OutOfBounds`]
+    /// for the first bad entry (in slice order); the array is then
+    /// untouched.
+    pub fn restore_levels(
+        &mut self,
+        cells: &[(usize, usize, u16)],
+        outcomes: &mut Vec<WriteOutcome>,
+    ) -> Result<(), RramError> {
+        for &(row, col, level) in cells {
+            self.check_level(level)?;
+            self.idx(row, col)?;
+        }
+        outcomes.reserve(cells.len());
+        let before = (self.write_pulses, self.wear_faults);
+        for &(row, col, level) in cells {
+            let i = row * self.cols + col;
+            outcomes.push(if self.cells[i].level() == level {
+                WriteOutcome::NoChange
+            } else {
+                self.write_level_cell(i, level)
+            });
+        }
+        self.publish_counters(before);
+        Ok(())
+    }
+
+    /// Verify-then-write over the whole array: every cell whose conductance
+    /// lies more than `epsilon` from its entry of the row-major `targets`
+    /// plane is rewritten with [`Crossbar::write_analog`]'s sequence, in
+    /// row-major order; the others are skipped without a noise draw.
+    /// Returns the number of writes that changed a cell. This is the
+    /// reprogramming step after a re-mapping permutation, one call per
+    /// tile.
+    ///
+    /// Checks come first and counters are bumped once, as in
+    /// [`Crossbar::nudge_batch`], so the call is bit-identical to the
+    /// per-cell read-compare-write loop over the same plane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RramError::DimensionMismatch`] when `targets.len()` is not
+    /// `rows * cols` and [`RramError::NonFiniteValue`] for a NaN/infinite
+    /// target; the array is then untouched.
+    pub fn reprogram_conductances(
+        &mut self,
+        targets: &[f64],
+        epsilon: f64,
+    ) -> Result<u64, RramError> {
+        if targets.len() != self.cells.len() {
+            return Err(RramError::DimensionMismatch {
+                expected: self.cells.len(),
+                actual: targets.len(),
+            });
+        }
+        if !targets.iter().all(|t| t.is_finite()) {
+            return Err(RramError::NonFiniteValue {
+                context: "reprogram_conductances target",
+            });
+        }
+        // Compare first (a read-only, branch-free pass over the plane), then
+        // write the cells that are off, in ascending order.
+        let mut off = vec![0usize; targets.len()];
+        let mut n = 0;
+        for (i, (&g, &now)) in targets.iter().zip(&self.plane64).enumerate() {
+            off[n] = i;
+            n += usize::from((now - g).abs() > epsilon);
+        }
+        let before = (self.write_pulses, self.wear_faults);
+        let mut changed = 0u64;
+        for &i in &off[..n] {
+            let noise = self.sample_noise();
+            let outcome = self.cells[i].write_analog(targets[i], noise);
+            changed += u64::from(self.settle(i, outcome).changed());
+        }
+        self.publish_counters(before);
+        Ok(changed)
+    }
+
+    /// One checked test nudge on cell `i`: noise draw, cell nudge, settling
+    /// step. Telemetry is left to the caller.
+    #[inline]
+    fn nudge_cell(&mut self, i: usize, delta: i32) -> WriteOutcome {
         let noise = self.sample_noise();
         let outcome = self.cells[i].nudge(delta, noise);
-        Ok(self.finish_write(i, outcome))
+        self.settle(i, outcome)
+    }
+
+    /// One checked level write on cell `i`: noise draw, cell write,
+    /// settling step. Telemetry is left to the caller.
+    #[inline]
+    fn write_level_cell(&mut self, i: usize, target: u16) -> WriteOutcome {
+        let noise = self.sample_noise();
+        let outcome = self.cells[i].write_level(target, noise);
+        self.settle(i, outcome)
+    }
+
+    /// The level check of a level write.
+    #[inline]
+    fn check_level(&self, level: u16) -> Result<(), RramError> {
+        if level >= self.levels {
+            return Err(RramError::LevelOutOfRange {
+                level,
+                levels: self.levels,
+            });
+        }
+        Ok(())
     }
 
     /// Draws a zero-mean write-variation noise sample. Centred on 0.5 so the
     /// clamp inside [`WriteVariation::perturb`] almost never bites, then
     /// recentred to zero.
+    #[inline]
     fn sample_noise(&mut self) -> f64 {
         if self.variation.is_none() {
             0.0
         } else {
-            self.variation.perturb(0.5, &mut self.rng) - 0.5
+            self.draw_noise()
         }
+    }
+
+    /// The draw behind [`Crossbar::sample_noise`], kept out of line so the
+    /// write funnels inline their noise-free fast path.
+    #[inline(never)]
+    fn draw_noise(&mut self) -> f64 {
+        self.variation.perturb(0.5, &mut self.rng) - 0.5
     }
 
     /// Refreshes the cached conductance planes for cell `i`. Must be called
@@ -715,19 +884,28 @@ impl Crossbar {
         }
         self.write_pulses += 1;
         let outcome = if self.cells[i].is_worn_out() && !self.cells[i].state().is_faulty() {
-            let kind = if self.rng.gen_bool(self.endurance.wearout_sa0_prob()) {
-                FaultKind::StuckAt0
-            } else {
-                FaultKind::StuckAt1
-            };
-            self.cells[i].wear_out(kind);
-            self.wear_faults += 1;
-            WriteOutcome::WoreOut(kind)
+            self.wear_out(i)
         } else {
             outcome
         };
         self.sync_plane(i);
         outcome
+    }
+
+    /// Turns cell `i`, whose write just spent its last endurance, into a
+    /// stuck cell: one `gen_bool` draw picks SA0/SA1. Rare, so out of line.
+    #[cold]
+    #[inline(never)]
+    fn wear_out(&mut self, i: usize) -> WriteOutcome {
+        let kind = if self.rng.gen_bool(self.endurance.wearout_sa0_prob()) {
+            FaultKind::StuckAt0
+        } else {
+            FaultKind::StuckAt1
+        };
+        self.cells[i].wear_out(kind);
+        self.faulty.set(i / self.cols, i % self.cols, true);
+        self.wear_faults += 1;
+        WriteOutcome::WoreOut(kind)
     }
 
     /// Adds the pulses and wear faults accrued since `before`
@@ -994,6 +1172,7 @@ impl Crossbar {
             if r < self.rows && c < self.cols {
                 let i = r * self.cols + c;
                 self.cells[i].force_fault(kind);
+                self.faulty.set(r, c, true);
                 self.sync_plane(i);
             }
         }
@@ -1015,14 +1194,17 @@ impl Crossbar {
     /// Ground-truth fault map of the current array state.
     pub fn fault_map(&self) -> FaultMap {
         let mut map = FaultMap::healthy(self.rows, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if let FaultState::Stuck(kind) = self.cells[r * self.cols + c].state() {
-                    map.set(r, c, Some(kind));
-                }
-            }
-        }
+        self.faulty.for_each_one(|r, c| {
+            map.set(r, c, self.cells[r * self.cols + c].state().kind());
+        });
         map
+    }
+
+    /// The stuck cells of the current array state as a bit plane — the
+    /// kind-agnostic ground truth of [`Crossbar::fault_map`], ready for
+    /// popcount scoring.
+    pub fn fault_plane(&self) -> &BitPlane {
+        &self.faulty
     }
 
     /// Aggregate wear statistics.
@@ -1134,6 +1316,14 @@ impl Crossbar {
         let plane64: Vec<f64> = cells.iter().map(|c| c.conductance()).collect();
         // CAST-OK: same defined narrowing as the builder's plane init.
         let plane32: Vec<f32> = plane64.iter().map(|&g| g as f32).collect();
+        let faulty = BitPlane::from_bools(
+            state.rows,
+            state.cols,
+            &cells
+                .iter()
+                .map(|c| c.state().is_faulty())
+                .collect::<Vec<_>>(),
+        );
         let mut dirty_marked = vec![false; cell_count];
         for &i in &state.dirty {
             if i >= cell_count {
@@ -1155,6 +1345,7 @@ impl Crossbar {
             cells,
             plane32,
             plane64,
+            faulty,
             endurance,
             variation,
             rng: StdRng::from_state(state.rng),
@@ -1485,6 +1676,206 @@ mod tests {
         assert!(x.write_verified(0, 0, 0.5, 0.0, 10).is_err());
         assert!(x.write_verified(0, 0, 0.5, 0.01, 0).is_err());
         assert!(x.write_verified(5, 0, 0.5, 0.01, 10).is_err());
+    }
+
+    /// The per-cell loops the batch funnels replaced, kept as their
+    /// oracles: one `nudge` per entry; a level read then a `write_level`
+    /// where the level differs; a conductance read then a `write_analog`
+    /// where it is more than `epsilon` off. The single-cell writes are
+    /// spelled out as they were (noise draw, cell write, settle, publish),
+    /// so the oracle shares no code with the funnels beyond the cell
+    /// model and the settling step.
+    mod per_cell {
+        use super::*;
+
+        fn nudge(x: &mut Crossbar, row: usize, col: usize, delta: i32) -> WriteOutcome {
+            let i = x.idx(row, col).unwrap();
+            let noise = x.sample_noise();
+            let outcome = x.cells[i].nudge(delta, noise);
+            x.finish_write(i, outcome)
+        }
+
+        fn write_level(x: &mut Crossbar, row: usize, col: usize, target: u16) -> WriteOutcome {
+            assert!(target < x.levels);
+            let i = x.idx(row, col).unwrap();
+            let noise = x.sample_noise();
+            let outcome = x.cells[i].write_level(target, noise);
+            x.finish_write(i, outcome)
+        }
+
+        pub fn nudge_loop(
+            x: &mut Crossbar,
+            cells: &[(usize, usize)],
+            delta: i32,
+        ) -> Vec<WriteOutcome> {
+            cells.iter().map(|&(r, c)| nudge(x, r, c, delta)).collect()
+        }
+
+        pub fn restore_loop(x: &mut Crossbar, cells: &[(usize, usize, u16)]) -> Vec<WriteOutcome> {
+            cells
+                .iter()
+                .map(|&(r, c, level)| {
+                    if x.read_level(r, c).unwrap() != level {
+                        write_level(x, r, c, level)
+                    } else {
+                        WriteOutcome::NoChange
+                    }
+                })
+                .collect()
+        }
+
+        pub fn reprogram_loop(x: &mut Crossbar, targets: &[f64], epsilon: f64) -> u64 {
+            let mut changed = 0;
+            for (i, &g) in targets.iter().enumerate() {
+                let (r, c) = (i / x.cols(), i % x.cols());
+                if (x.conductance(r, c).unwrap() - g).abs() > epsilon
+                    && x.write_analog(r, c, g).unwrap().changed()
+                {
+                    changed += 1;
+                }
+            }
+            changed
+        }
+    }
+
+    /// A small array with write variation, a short endurance budget (so
+    /// cells wear out in the middle of a batch) and pre-stuck cells, on
+    /// its own telemetry registry.
+    fn worn_array(rows: usize, cols: usize, seed: u64) -> (Crossbar, obs::Recorder) {
+        let mut x = CrossbarBuilder::new(rows, cols)
+            .variation(WriteVariation::new(0.05))
+            .endurance(EnduranceModel::new(6.0, 2.0))
+            .initial_faults(SpatialDistribution::Uniform, 0.15)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let recorder = obs::Recorder::new();
+        x.attach_recorder(&recorder);
+        for r in 0..rows {
+            for c in 0..cols {
+                let _ = x.write_level(r, c, ((r * 3 + c * 5) % 8) as u16).unwrap();
+            }
+        }
+        x.clear_dirty();
+        (x, recorder)
+    }
+
+    /// Everything observable of two arrays must agree: cells, RNG position,
+    /// counters and journal (`export_state`), both conductance planes, the
+    /// stuck-cell plane and the telemetry totals.
+    fn assert_same(a: &Crossbar, ra: &obs::Recorder, b: &Crossbar, rb: &obs::Recorder) {
+        assert_eq!(a.export_state(), b.export_state());
+        assert_eq!(a.conductance_plane_f64(), b.conductance_plane_f64());
+        assert_eq!(a.conductance_plane(), b.conductance_plane());
+        assert_eq!(a.fault_plane(), b.fault_plane());
+        assert_eq!(a.dirty_cells(), b.dirty_cells());
+        for name in ["rram_write_pulses_total", "rram_wear_faults_total"] {
+            assert_eq!(
+                ra.registry().counter_value(name),
+                rb.registry().counter_value(name),
+                "{name}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Test-write and restore batches are bit-identical to the per-cell
+        /// loops, through wear-outs in the middle of a batch and on cells
+        /// that were stuck before it (which still draw their noise).
+        #[test]
+        fn nudge_and_restore_batches_match_per_cell_loops(
+            seed in 0u64..1_000,
+            rows in 1usize..12,
+            cols in 1usize..12,
+            picks in proptest::collection::vec(0usize..144, 0..80),
+            delta in -2i32..=2,
+        ) {
+            let ((mut a, ra), (mut b, rb)) = (worn_array(rows, cols, seed), worn_array(rows, cols, seed));
+            let cells: Vec<(usize, usize)> =
+                picks.iter().map(|&p| ((p / 12) % rows, p % cols)).collect();
+            let targets: Vec<(usize, usize, u16)> = cells
+                .iter()
+                .map(|&(r, c)| (r, c, a.read_level(r, c).unwrap()))
+                .collect();
+            let mut batched = Vec::new();
+            a.nudge_batch(&cells, delta, &mut batched).unwrap();
+            let looped = per_cell::nudge_loop(&mut b, &cells, delta);
+            proptest::prop_assert_eq!(&batched, &looped);
+            assert_same(&a, &ra, &b, &rb);
+
+            batched.clear();
+            a.restore_levels(&targets, &mut batched).unwrap();
+            let looped = per_cell::restore_loop(&mut b, &targets);
+            proptest::prop_assert_eq!(&batched, &looped);
+            assert_same(&a, &ra, &b, &rb);
+        }
+
+        /// Verify-then-write reprogramming is bit-identical to the per-cell
+        /// read-compare-write loop, at `epsilon` 0 and above it.
+        #[test]
+        fn reprogram_batch_matches_the_per_cell_loop(
+            seed in 0u64..1_000,
+            rows in 1usize..12,
+            cols in 1usize..12,
+            epsilon in proptest::prop_oneof![proptest::Just(0.0f64), 0.0f64..0.3],
+        ) {
+            let ((mut a, ra), (mut b, rb)) = (worn_array(rows, cols, seed), worn_array(rows, cols, seed));
+            let mut rng = crate::rng::sim_rng(seed ^ 0x5eed);
+            // Some targets equal the current conductance, some sit just
+            // inside or outside `epsilon`, the rest are random.
+            let targets: Vec<f64> = a
+                .conductance_plane_f64()
+                .iter()
+                .map(|&g| match rng.gen_range(0..4) {
+                    0 => g,
+                    1 => (g + epsilon * 0.5).min(1.0),
+                    2 => (g + epsilon + 0.01).min(1.0),
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            let batched = a.reprogram_conductances(&targets, epsilon).unwrap();
+            let looped = per_cell::reprogram_loop(&mut b, &targets, epsilon);
+            proptest::prop_assert_eq!(batched, looped);
+            assert_same(&a, &ra, &b, &rb);
+        }
+    }
+
+    #[test]
+    fn batch_funnels_check_everything_before_writing() {
+        let (mut x, _) = worn_array(3, 3, 1);
+        let before = x.export_state();
+        let mut out = Vec::new();
+        assert!(x.nudge_batch(&[(0, 0), (3, 0)], 1, &mut out).is_err());
+        assert!(x.restore_levels(&[(0, 0, 1), (1, 1, 8)], &mut out).is_err());
+        assert!(x.restore_levels(&[(0, 0, 1), (0, 3, 1)], &mut out).is_err());
+        assert!(x.reprogram_conductances(&[0.5; 8], 0.0).is_err());
+        let mut nan = vec![0.5; 9];
+        nan[8] = f64::NAN;
+        assert!(x.reprogram_conductances(&nan, 0.0).is_err());
+        assert!(out.is_empty());
+        assert_eq!(x.export_state(), before);
+    }
+
+    #[test]
+    fn fault_plane_follows_injection_wear_out_and_restore() {
+        let (mut x, _) = worn_array(5, 7, 3);
+        // Wear cells out by pulsing them past their budget.
+        for _ in 0..12 {
+            for c in 0..7 {
+                let _ = x.pulse_analog(2, c, 0.5).unwrap();
+            }
+        }
+        assert!(x.wear_faults() > 0);
+        assert_eq!(x.fault_plane(), &x.fault_map().faulty_plane());
+        let y = Crossbar::restore_state(
+            &x.export_state(),
+            EnduranceModel::new(6.0, 2.0),
+            WriteVariation::new(0.05),
+        )
+        .unwrap();
+        assert_eq!(y.fault_plane(), x.fault_plane());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::bits::BitPlane;
+
 /// The two hard-fault classes of an RRAM cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
@@ -39,6 +41,7 @@ pub enum FaultState {
 
 impl FaultState {
     /// Returns `true` when the cell carries a hard fault.
+    #[inline]
     pub fn is_faulty(&self) -> bool {
         matches!(self, FaultState::Stuck(_))
     }
@@ -146,6 +149,51 @@ impl FaultMap {
         self.count_faulty() as f64 / (self.rows * self.cols) as f64
     }
 
+    /// Marks every faulty cell of `src` on this map with its origin at
+    /// `(row0, col0)`, combining kinds the way a differential pair does:
+    /// SA1 (the severe kind — it pins full-scale current) wins wherever
+    /// either map says SA1. Composes per-tile maps into a layer's logical
+    /// map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` does not fit at that origin.
+    pub fn overlay_at(&mut self, row0: usize, col0: usize, src: &FaultMap) {
+        assert!(
+            row0 + src.rows <= self.rows && col0 + src.cols <= self.cols,
+            "a {}x{} map at ({row0}, {col0}) does not fit {}x{}",
+            src.rows,
+            src.cols,
+            self.rows,
+            self.cols
+        );
+        for (r, line) in src.cells.chunks_exact(src.cols).enumerate() {
+            let start = (row0 + r) * self.cols + col0;
+            for (dst, &fault) in self.cells[start..start + src.cols].iter_mut().zip(line) {
+                if let Some(kind) = fault {
+                    *dst = Some(match (*dst, kind) {
+                        (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => {
+                            FaultKind::StuckAt1
+                        }
+                        _ => FaultKind::StuckAt0,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The faulty cells as a bit plane (kind-agnostic).
+    pub fn faulty_plane(&self) -> BitPlane {
+        let mut plane = BitPlane::new(self.rows, self.cols);
+        for (r, line) in self.cells.chunks_exact(self.cols).enumerate() {
+            let words = plane.row_mut(r);
+            for (c, cell) in line.iter().enumerate() {
+                words[c / 64] |= u64::from(cell.is_some()) << (c % 64);
+            }
+        }
+        plane
+    }
+
     /// Iterates over `(row, col, kind)` for every faulty cell.
     pub fn iter_faulty(&self) -> impl Iterator<Item = (usize, usize, FaultKind)> + '_ {
         self.cells
@@ -191,6 +239,24 @@ impl FaultMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overlay_places_a_map_and_lets_sa1_win() {
+        let mut dst = FaultMap::healthy(3, 4);
+        dst.set(1, 2, Some(FaultKind::StuckAt0));
+        dst.set(1, 3, Some(FaultKind::StuckAt1));
+        let mut src = FaultMap::healthy(2, 2);
+        src.set(0, 0, Some(FaultKind::StuckAt1));
+        src.set(0, 1, Some(FaultKind::StuckAt0));
+        src.set(1, 1, Some(FaultKind::StuckAt0));
+        dst.overlay_at(1, 2, &src);
+        assert_eq!(dst.get(1, 2), Some(FaultKind::StuckAt1), "SA1 beats SA0");
+        assert_eq!(dst.get(1, 3), Some(FaultKind::StuckAt1), "SA1 stays");
+        assert_eq!(dst.get(2, 3), Some(FaultKind::StuckAt0));
+        assert_eq!(dst.get(2, 2), None);
+        assert_eq!(dst.count_faulty(), 3);
+        assert_eq!(dst.faulty_plane().count_ones(), 3);
+    }
 
     #[test]
     fn healthy_map_has_no_faults() {

@@ -20,6 +20,9 @@
 //! * **Crossbar arrays** ([`crossbar::Crossbar`]) — analog matrix–vector
 //!   multiplication in both directions, per-cell wear tracking, and the
 //!   quiescent read/write primitives the on-line test method drives.
+//! * **Bit planes** ([`bits::BitPlane`]) — one bit per cell, the set
+//!   algebra of detection campaigns (candidates, flags, predictions, the
+//!   array's stuck cells).
 //! * **Peripheral models** ([`adc`]) — level-granularity ADC with the
 //!   mod-2ⁿ truncation used by the paper's comparison circuitry, and
 //!   weight↔conductance codecs ([`quantize`]).
@@ -52,6 +55,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adc;
+pub mod bits;
 pub mod cell;
 pub mod crossbar;
 pub mod endurance;

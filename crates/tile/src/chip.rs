@@ -417,8 +417,17 @@ impl TiledChip {
         incremental: bool,
     ) -> CampaignStats {
         let selected: BTreeSet<usize> = ids.iter().copied().collect();
-        let hint = 8 * self.config.tile_size * self.config.tile_size;
-        par::for_each_chunk_mut_hinted(&mut self.slots, hint, |_, slots| {
+        // A campaign costs about 30–60 ns per cell, mostly the two test
+        // writes and two restores of each candidate, so tiles are weighed
+        // at 32 `par` operations per cell.
+        let weight = |slot: &TileSlot| {
+            if slot.retired || !selected.contains(&slot.id) {
+                0
+            } else {
+                32 * slot.cells()
+            }
+        };
+        par::for_each_chunk_mut_weighted(&mut self.slots, weight, |_, slots| {
             for slot in slots {
                 if slot.retired || !selected.contains(&slot.id) {
                     continue;
@@ -915,6 +924,68 @@ mod tests {
         // Over-density query sees only active, tested tiles.
         let over = c.tiles_over_density(0.0);
         assert_eq!(over, vec![b]);
+    }
+
+    #[test]
+    fn weighted_campaign_split_is_thread_count_invariant() {
+        // Unequal tiles (full, remainder and tiny) with write variation and
+        // a short endurance budget, so every tile's RNG stream matters;
+        // enough cells that the campaign fans out by weight, and one tile
+        // retired so its slot weighs nothing.
+        let run_with = |threads: usize| {
+            let injection = FaultInjection::new(SpatialDistribution::Uniform, 0.1).unwrap();
+            let mut c = TiledChip::new(
+                ChipConfig::new(64, 8, 5)
+                    .with_injection(injection)
+                    .with_variation(WriteVariation::new(0.03))
+                    .with_endurance(EnduranceModel::new(8.0, 2.0))
+                    .with_spare_tiles(1),
+            )
+            .unwrap();
+            let dims = [
+                (64, 64),
+                (64, 64),
+                (64, 64),
+                (10, 64),
+                (64, 64),
+                (64, 5),
+                (3, 3),
+                (64, 64),
+                (64, 64),
+            ];
+            let ids: Vec<usize> = dims
+                .iter()
+                .map(|&(r, k)| c.allocate(r, k).unwrap())
+                .collect();
+            for &id in &ids {
+                let x = c.tile_mut(id).unwrap();
+                for r in 0..x.rows() {
+                    for k in 0..x.cols() {
+                        let _ = x.write_level(r, k, ((r * 7 + k * 3) % 8) as u16).unwrap();
+                    }
+                }
+            }
+            c.substitute(ids[1]).unwrap();
+            let live: usize = ids[2..].iter().map(|&id| c.slot(id).unwrap().cells()).sum();
+            assert!(32 * live >= par::PAR_MIN_WORK, "the campaign must fan out");
+            let det =
+                OnlineFaultDetector::new(DetectorConfig::new(8).unwrap().with_selected_cells());
+            par::set_thread_count(threads);
+            let first = c.run_campaigns(&det, &ids);
+            let second = c.run_campaigns_incremental(&det, &ids);
+            par::set_thread_count(0);
+            (first, second, c.export_state())
+        };
+        let one = run_with(1);
+        for threads in [3, 4] {
+            let other = run_with(threads);
+            assert_eq!(one.0, other.0, "{threads} threads: full campaign stats");
+            assert_eq!(one.1, other.1, "{threads} threads: incremental stats");
+            assert!(
+                one.2 == other.2,
+                "{threads} threads: per-slot state differs"
+            );
+        }
     }
 
     #[test]

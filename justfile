@@ -33,8 +33,9 @@ clippy:
 # Benchmark self-checks (the CI gate): perfbench's own tests (episodes
 # agree across thread budgets), then a 1 s run of every workload at
 # recorded seeds 1 and 7, which fails when an output fingerprint differs
-# from perfbench/src/expected.rs, and the training workloads once more on
-# one thread, where no kernel fans out.
+# from perfbench/src/expected.rs, the training workloads and the service
+# once more on one thread, where no kernel fans out, and the training
+# workloads on three threads, where a campaign's tiles split unevenly.
 perfbench-check:
     cargo test --offline --release --manifest-path perfbench/Cargo.toml
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload mlp_original --seed 1 --seconds 1 --trace 0
@@ -47,6 +48,9 @@ perfbench-check:
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_mixed --seed 7 --seconds 1 --trace 0
     RRAM_FTT_THREADS=1 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload mlp_ftt --seed 1 --seconds 1 --trace 0
     RRAM_FTT_THREADS=1 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload cnn_ftt --seed 1 --seconds 1 --trace 0
+    RRAM_FTT_THREADS=1 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_mixed --seed 1 --seconds 1 --trace 0
+    RRAM_FTT_THREADS=3 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload mlp_ftt --seed 1 --seconds 1 --trace 0
+    RRAM_FTT_THREADS=3 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload cnn_ftt --seed 1 --seconds 1 --trace 0
 
 # Adversarial-configuration harness (DESIGN.md §8.4): seeded, deterministic,
 # < 60 s. Part of tier-1 via tests/chaos_harness.rs.
