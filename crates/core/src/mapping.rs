@@ -67,6 +67,11 @@ pub struct MappedLayer {
     /// Second (negative-polarity) shard grid under differential coding;
     /// empty for unipolar coding.
     neg_tiles: Vec<TileRef>,
+    /// Mirror of the effective (hardware) weights, row-major: always
+    /// exactly what [`MappedLayer::shard_from_planes`] would compute from
+    /// the chip now. Every `MappedNetwork` method that changes a
+    /// mapped cell or re-points a shard refreshes it (DESIGN.md §6.11).
+    effective: Vec<f32>,
 }
 
 impl MappedLayer {
@@ -93,8 +98,8 @@ impl MappedLayer {
     /// logical coordinates (includes faults and write variation).
     ///
     /// Kept as the per-cell reference for
-    /// [`MappedNetwork::load_effective_weights`], whose plane-backed bulk
-    /// copy must reproduce this value bit-for-bit (asserted in tests).
+    /// [`MappedLayer::shard_from_planes`] and the mirror it fills, which
+    /// must reproduce this value bit-for-bit (asserted in tests).
     #[cfg_attr(
         not(test),
         expect(dead_code, reason = "per-cell reference used only by tests")
@@ -122,6 +127,73 @@ impl MappedLayer {
         } else {
             f64::from(self.signs[row * self.cols + col]) * g * self.w_max
         }
+    }
+
+    /// Writes the effective weights of shard `tile_idx` into `out` (the
+    /// layer's row-major weights) by streaming its tiles' cached `f64`
+    /// conductance planes row by row. The arithmetic per cell is the exact
+    /// expression [`MappedLayer::effective`] evaluates, so the result is
+    /// bit-identical to the per-cell path. Shards must match the layer's
+    /// grid (checked at construction and restore).
+    fn shard_from_planes(
+        &self,
+        chip: &TiledChip,
+        tile_idx: usize,
+        out: &mut [f32],
+    ) -> Result<(), FttError> {
+        let (cols, w_max) = (self.cols, self.w_max);
+        let pos = self.tiles[tile_idx];
+        let px = chip.tile(pos.id)?;
+        let (t_rows, t_cols) = (px.rows(), px.cols());
+        let gp = px.conductance_plane_f64();
+        if self.is_differential() {
+            // `tiles` and `neg_tiles` share one grid geometry.
+            let gn = chip
+                .tile(self.neg_tiles[tile_idx].id)?
+                .conductance_plane_f64();
+            for r in 0..t_rows {
+                let dst = &mut out[(pos.row0 + r) * cols + pos.col0..][..t_cols];
+                let gp_row = &gp[r * t_cols..(r + 1) * t_cols];
+                let gn_row = &gn[r * t_cols..(r + 1) * t_cols];
+                for ((d, &p), &n) in dst.iter_mut().zip(gp_row).zip(gn_row) {
+                    *d = ((p - n) * w_max) as f32;
+                }
+            }
+        } else {
+            for r in 0..t_rows {
+                let base = (pos.row0 + r) * cols + pos.col0;
+                let dst = &mut out[base..base + t_cols];
+                let signs = &self.signs[base..base + t_cols];
+                let g_row = &gp[r * t_cols..(r + 1) * t_cols];
+                for ((d, &s), &g) in dst.iter_mut().zip(signs).zip(g_row) {
+                    *d = (f64::from(s) * g * w_max) as f32;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Refreshes the effective-weight mirror over the given shards from
+    /// their tile planes.
+    fn refresh_shards(
+        &mut self,
+        chip: &TiledChip,
+        shards: impl IntoIterator<Item = usize>,
+    ) -> Result<(), FttError> {
+        let mut mirror = std::mem::take(&mut self.effective);
+        mirror.resize(self.rows * self.cols, 0.0);
+        let filled = shards
+            .into_iter()
+            .try_for_each(|ti| self.shard_from_planes(chip, ti, &mut mirror));
+        self.effective = mirror;
+        filled
+    }
+
+    /// Rebuilds the whole effective-weight mirror from the tile planes:
+    /// the cost of one full reload, paid once per campaign instead of
+    /// once per step.
+    fn rebuild_effective(&mut self, chip: &TiledChip) -> Result<(), FttError> {
+        self.refresh_shards(chip, 0..self.tiles.len())
     }
 
     /// Ground-truth fault map of this layer in logical coordinates. Under
@@ -419,7 +491,7 @@ impl MappedNetwork {
             } else {
                 (build_grid(&mag_g, &mut chip)?, Vec::new())
             };
-            layers.push(MappedLayer {
+            let mut layer = MappedLayer {
                 weight_layer: k,
                 layer_index,
                 rows,
@@ -429,7 +501,10 @@ impl MappedNetwork {
                 targets: weights,
                 tiles,
                 neg_tiles,
-            });
+                effective: Vec::new(),
+            };
+            layer.rebuild_effective(&chip)?;
+            layers.push(layer);
         }
         Ok(Self {
             config,
@@ -469,12 +544,12 @@ impl MappedNetwork {
     /// clamping included) into the software network — run before every
     /// forward pass so training sees what the chip actually computes.
     ///
-    /// This is the flow's hottest hardware read, so instead of one
-    /// [`MappedLayer::effective`] call per cell (tile lookup + bounds-checked
-    /// conductance read each), it streams every tile's cached `f64`
-    /// conductance plane row-by-row into the weight buffer. The arithmetic
-    /// per cell is the exact expression `effective` evaluates, so the loaded
-    /// weights are bit-identical to the per-cell path.
+    /// Each layer keeps a mirror of its effective weights that the
+    /// mapping's own write, campaign, reprogram, sparing and restore paths
+    /// refresh as they change cells (DESIGN.md §6.11), so the reload is one
+    /// `copy_from_slice` per layer. The mirror holds exactly what
+    /// [`MappedLayer::effective`] computes per cell, so the loaded weights
+    /// are bit-identical to reading every cell back.
     ///
     /// # Errors
     ///
@@ -482,48 +557,43 @@ impl MappedNetwork {
     /// this mapping was built from (a mapped layer index has no parameters).
     pub fn load_effective_weights(&self, net: &mut Network) -> Result<(), FttError> {
         for layer in &self.layers {
-            let mut params = net
+            let params = net
+                .layer_params_mut(layer.layer_index)
+                .ok_or_else(|| foreign_network_error(layer.layer_index))?;
+            if params.weights.len() != layer.effective.len() {
+                return Err(foreign_network_error(layer.layer_index));
+            }
+            params.weights.copy_from_slice(&layer.effective);
+        }
+        Ok(())
+    }
+
+    /// The reload as it was before the mirror: every tile plane walked
+    /// into the network. The oracle the mirror is checked against.
+    #[cfg(test)]
+    fn load_effective_weights_from_planes(&self, net: &mut Network) -> Result<(), FttError> {
+        for layer in &self.layers {
+            let params = net
                 .layer_params_mut(layer.layer_index)
                 .ok_or_else(|| foreign_network_error(layer.layer_index))?;
             if params.weights.len() != layer.rows * layer.cols {
                 return Err(foreign_network_error(layer.layer_index));
             }
-            let cols = layer.cols;
-            let w_max = layer.w_max;
-            let out = &mut params.weights;
-            if layer.is_differential() {
-                // `tiles` and `neg_tiles` share one grid geometry.
-                for (pos, neg) in layer.tiles.iter().zip(&layer.neg_tiles) {
-                    let px = self.chip.tile(pos.id)?;
-                    let nx = self.chip.tile(neg.id)?;
-                    let (t_rows, t_cols) = (px.rows(), px.cols());
-                    let gp = px.conductance_plane_f64();
-                    let gn = nx.conductance_plane_f64();
-                    for r in 0..t_rows {
-                        let dst = &mut out[(pos.row0 + r) * cols + pos.col0..][..t_cols];
-                        let gp_row = &gp[r * t_cols..(r + 1) * t_cols];
-                        let gn_row = &gn[r * t_cols..(r + 1) * t_cols];
-                        for ((d, &p), &n) in dst.iter_mut().zip(gp_row).zip(gn_row) {
-                            *d = ((p - n) * w_max) as f32;
-                        }
-                    }
-                }
-            } else {
-                for tile in &layer.tiles {
-                    let xbar = self.chip.tile(tile.id)?;
-                    let (t_rows, t_cols) = (xbar.rows(), xbar.cols());
-                    let plane = xbar.conductance_plane_f64();
-                    for r in 0..t_rows {
-                        let base = (tile.row0 + r) * cols + tile.col0;
-                        let dst = &mut out[base..base + t_cols];
-                        let signs = &layer.signs[base..base + t_cols];
-                        let g_row = &plane[r * t_cols..(r + 1) * t_cols];
-                        for ((d, &s), &g) in dst.iter_mut().zip(signs).zip(g_row) {
-                            *d = (f64::from(s) * g * w_max) as f32;
-                        }
-                    }
-                }
+            for tile_idx in 0..layer.tiles.len() {
+                layer.shard_from_planes(&self.chip, tile_idx, params.weights)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the effective-weight mirrors of the given layer positions
+    /// from the tile planes.
+    fn rebuild_effective(
+        &mut self,
+        positions: impl IntoIterator<Item = usize>,
+    ) -> Result<(), FttError> {
+        for li in positions {
+            self.layers[li].rebuild_effective(&self.chip)?;
         }
         Ok(())
     }
@@ -569,7 +639,9 @@ impl MappedNetwork {
     /// differential coding each run pulses its positive-polarity cells,
     /// then its negative-polarity cells, and reports the more severe
     /// outcome of each pair (a new fault on either side wins, then a stuck
-    /// cell).
+    /// cell). Each run then refreshes its entries of the layer's
+    /// effective-weight mirror from the tile planes, so no later reload
+    /// has to walk them.
     ///
     /// # Errors
     ///
@@ -620,14 +692,26 @@ impl MappedNetwork {
         let mut neg_outcomes = Vec::new();
         let mut rest = updates;
         while let Some(&(first, _)) = rest.first() {
-            let tile_idx = layer.tile_of(first / cols, first % cols, ts);
+            let (mut row, mut row_base) = (first / cols, first / cols * cols);
+            let tile_idx = layer.tile_of(row, first - row_base, ts);
             let (t_rows, t_cols) = layer.shard_dims(tile_idx, ts);
             let pos = layer.tiles[tile_idx];
             let (row_span, col_span) = (pos.row0..pos.row0 + t_rows, pos.col0..pos.col0 + t_cols);
             cells.clear();
             let mut run_len = 0;
             for &(idx, value) in rest {
-                let (row, col) = (idx / cols, idx % cols);
+                // Updates usually arrive in ascending order, so the row
+                // cursor walks forward (at most to the shard's last row)
+                // instead of dividing per update; an earlier index falls
+                // back to one division.
+                if idx < row_base {
+                    (row, row_base) = (idx / cols, idx / cols * cols);
+                }
+                while idx - row_base >= cols && row < row_span.end {
+                    row += 1;
+                    row_base += cols;
+                }
+                let col = idx - row_base;
                 if !row_span.contains(&row) || !col_span.contains(&col) {
                     break;
                 }
@@ -650,6 +734,27 @@ impl MappedNetwork {
                     .pulse_batch(&cells, &mut neg_outcomes)?;
                 for (pair, &neg) in outcomes[run_start..].iter_mut().zip(&neg_outcomes) {
                     *pair = more_severe(*pair, neg);
+                }
+            }
+            // Refresh the run's mirror entries from the planes the batches
+            // just settled (a stuck cell keeps its conductance but may have
+            // flipped sign). A run at least as long as its shard streams the
+            // whole shard instead: no more entries, and no gather.
+            if run_len >= t_rows * t_cols {
+                layer.refresh_shards(&self.chip, [tile_idx])?;
+            } else if differential {
+                let gp = self.chip.tile(pos.id)?.conductance_plane_f64();
+                let neg = layer.neg_tiles[tile_idx];
+                let gn = self.chip.tile(neg.id)?.conductance_plane_f64();
+                for (&(r, c, _), &(idx, _)) in cells.iter().zip(run) {
+                    let i = r * t_cols + c;
+                    layer.effective[idx] = ((gp[i] - gn[i]) * w_max) as f32;
+                }
+            } else {
+                let g = self.chip.tile(pos.id)?.conductance_plane_f64();
+                for (&(r, c, _), &(idx, _)) in cells.iter().zip(run) {
+                    let s = f64::from(layer.signs[idx]);
+                    layer.effective[idx] = (s * g[r * t_cols + c] * w_max) as f32;
                 }
             }
         }
@@ -694,6 +799,17 @@ impl MappedNetwork {
     /// Returns [`FttError::InvalidConfig`] when `net` is not the network
     /// this mapping was built from.
     pub fn reprogram_from(&mut self, net: &mut Network, epsilon: f64) -> Result<u64, FttError> {
+        let written = self.reprogram_layers(net, epsilon);
+        // Rebuild every mirror even when a layer failed part-way: the
+        // layers before it were rewritten.
+        let rebuilt = self.rebuild_effective(0..self.layers.len());
+        let writes = written?;
+        rebuilt?;
+        Ok(writes)
+    }
+
+    /// The writes of [`MappedNetwork::reprogram_from`], mirrors left stale.
+    fn reprogram_layers(&mut self, net: &mut Network, epsilon: f64) -> Result<u64, FttError> {
         let ts = self.config.tile_size;
         let mut writes = 0u64;
         let mut plane = Vec::new();
@@ -826,6 +942,7 @@ impl MappedNetwork {
                 }
             }
         }
+        self.rebuild_effective(0..self.layers.len())?;
         Ok(writes)
     }
 
@@ -933,6 +1050,8 @@ impl MappedNetwork {
         } else {
             self.chip.run_campaigns(detector, &ids)
         };
+        // Test writes and restores can move cells (write variation, wear).
+        self.rebuild_effective(0..self.layers.len())?;
         let t = detector.config().test_size;
         let mut results = Vec::with_capacity(self.layers.len());
         for li in 0..self.layers.len() {
@@ -981,8 +1100,39 @@ impl MappedNetwork {
         detections: &mut [LayerDetection],
     ) -> Result<SparingOutcome, FttError> {
         let mut out = SparingOutcome::default();
-        let ts = self.config.tile_size;
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
+        let spared = self.attach_spares(threshold, detector, &mut out, &mut dirty);
+        // A re-pointed shard reads its spare's cells: rebuild those layers'
+        // mirrors even when a later spare failed.
+        let rebuilt = self.rebuild_effective(dirty.iter().copied());
+        spared?;
+        rebuilt?;
+        // Recompose dirty layers' predictions for the re-mapping search.
+        let t = detector.config().test_size;
+        for li in dirty {
+            let recomposed = self.compose_layer(li, t)?;
+            let weight_layer = self.layers[li].weight_layer;
+            if let Some(d) = detections
+                .iter_mut()
+                .find(|d| d.weight_layer == weight_layer)
+            {
+                d.predicted = recomposed.predicted;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Retires, replaces and re-points every mapped tile over `threshold`
+    /// (see [`MappedNetwork::apply_sparing_at`]), tallying into `out` and
+    /// recording each layer with a re-pointed shard in `dirty`.
+    fn attach_spares(
+        &mut self,
+        threshold: f64,
+        detector: &OnlineFaultDetector,
+        out: &mut SparingOutcome,
+        dirty: &mut BTreeSet<usize>,
+    ) -> Result<(), FttError> {
+        let ts = self.config.tile_size;
         for id in self.chip.tiles_over_density(threshold) {
             // Locate the shard this tile backs (spare-pool tiles that
             // back nothing are not retirable — nothing to re-point).
@@ -1026,6 +1176,7 @@ impl MappedNetwork {
                     } else {
                         layer.tiles[tile_idx].id = new_id;
                     }
+                    dirty.insert(li);
                     // Hand the incremental store over: the retired tile's
                     // store describes hardware no shard points at any more
                     // (its aggregates would sit stale in the slot — and in
@@ -1035,23 +1186,10 @@ impl MappedNetwork {
                     // baseline instead of lazily attaching all-pending and
                     // retesting the whole tile.
                     self.chip.refresh_spare_store(id, new_id)?;
-                    dirty.insert(li);
                 }
             }
         }
-        // Recompose dirty layers' predictions for the re-mapping search.
-        let t = detector.config().test_size;
-        for li in dirty {
-            let recomposed = self.compose_layer(li, t)?;
-            let weight_layer = self.layers[li].weight_layer;
-            if let Some(d) = detections
-                .iter_mut()
-                .find(|d| d.weight_layer == weight_layer)
-            {
-                d.predicted = recomposed.predicted;
-            }
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Ground-truth fault maps per mapped layer (for oracle experiments and
@@ -1149,11 +1287,15 @@ impl MappedNetwork {
     /// # Errors
     ///
     /// Returns [`FttError::InvalidConfig`] when the capture is internally
-    /// incoherent (mismatched lengths, unknown tile ids, out-of-range
-    /// shard origins) and propagates chip-level restore failures.
+    /// incoherent (mismatched lengths, unknown tile ids, shards that differ
+    /// from the layer's grid under `config.tile_size` in count, order,
+    /// origin or tile size, a tile backing two shards) and propagates
+    /// chip-level restore failures.
     pub fn restore_state(config: MappingConfig, state: &MappedState) -> Result<Self, FttError> {
         let chip = TiledChip::restore_state(chip_config(&config)?, &state.chip)?;
         let mut layers = Vec::with_capacity(state.layers.len());
+        let mut seen = BTreeSet::new();
+        let ts = config.tile_size;
         for (li, l) in state.layers.iter().enumerate() {
             let cells = l.rows * l.cols;
             if l.rows == 0 || l.cols == 0 {
@@ -1175,34 +1317,62 @@ impl MappedNetwork {
                     l.w_max
                 )));
             }
-            if l.tiles.is_empty() || (!l.neg_tiles.is_empty() && l.neg_tiles.len() != l.tiles.len())
-            {
-                return Err(FttError::InvalidConfig(format!(
-                    "snapshot layer {li} has {} positive and {} negative shards",
-                    l.tiles.len(),
-                    l.neg_tiles.len()
-                )));
-            }
-            let as_refs = |shards: &[(usize, usize, usize)]| -> Result<Vec<TileRef>, FttError> {
+            let grid = ShardGrid::new(l.rows, l.cols, ts, ts).ok_or_else(|| {
+                FttError::InvalidConfig(format!("tile size {ts} cannot shard snapshot layer {li}"))
+            })?;
+            // Each shard list must be the layer's grid, in grid order, on
+            // tiles of the shard's size, and no tile may back two shards:
+            // the reload, the writes and the mirror all rely on it.
+            let as_refs = |shards: &[(usize, usize, usize)],
+                           seen: &mut BTreeSet<usize>|
+             -> Result<Vec<TileRef>, FttError> {
+                if shards.len() != grid.shard_count() {
+                    return Err(FttError::InvalidConfig(format!(
+                        "snapshot layer {li} has {} shards where its {}x{} grid on {ts}-cell \
+                         tiles has {}",
+                        shards.len(),
+                        l.rows,
+                        l.cols,
+                        grid.shard_count()
+                    )));
+                }
                 let mut refs = Vec::with_capacity(shards.len());
-                for &(row0, col0, id) in shards {
-                    if chip.tile(id).is_err() {
-                        return Err(FttError::InvalidConfig(format!(
+                for (&(row0, col0, id), shard) in shards.iter().zip(grid.iter()) {
+                    let xbar = chip.tile(id).map_err(|_| {
+                        FttError::InvalidConfig(format!(
                             "snapshot layer {li} references unknown tile {id}"
+                        ))
+                    })?;
+                    if (row0, col0, xbar.rows(), xbar.cols())
+                        != (shard.row0, shard.col0, shard.rows, shard.cols)
+                    {
+                        return Err(FttError::InvalidConfig(format!(
+                            "snapshot layer {li} places a {}x{} tile at ({row0},{col0}) where \
+                             its grid has a {}x{} shard at ({},{})",
+                            xbar.rows(),
+                            xbar.cols(),
+                            shard.rows,
+                            shard.cols,
+                            shard.row0,
+                            shard.col0
                         )));
                     }
-                    if row0 >= l.rows || col0 >= l.cols {
+                    if !seen.insert(id) {
                         return Err(FttError::InvalidConfig(format!(
-                            "snapshot layer {li} shard origin ({row0},{col0}) is outside \
-                             its {}x{} matrix",
-                            l.rows, l.cols
+                            "snapshot layer {li} maps tile {id}, which already backs a shard"
                         )));
                     }
                     refs.push(TileRef { row0, col0, id });
                 }
                 Ok(refs)
             };
-            layers.push(MappedLayer {
+            let tiles = as_refs(&l.tiles, &mut seen)?;
+            let neg_tiles = if l.neg_tiles.is_empty() {
+                Vec::new()
+            } else {
+                as_refs(&l.neg_tiles, &mut seen)?
+            };
+            let mut layer = MappedLayer {
                 weight_layer: l.weight_layer,
                 layer_index: l.layer_index,
                 rows: l.rows,
@@ -1210,9 +1380,12 @@ impl MappedNetwork {
                 w_max: l.w_max,
                 signs: l.signs.clone(),
                 targets: l.targets.clone(),
-                tiles: as_refs(&l.tiles)?,
-                neg_tiles: as_refs(&l.neg_tiles)?,
-            });
+                tiles,
+                neg_tiles,
+                effective: Vec::new(),
+            };
+            layer.rebuild_effective(&chip)?;
+            layers.push(layer);
         }
         Ok(Self {
             config,
@@ -1313,11 +1486,54 @@ mod tests {
         assert!(saw_sa1);
     }
 
+    /// Every weight of every mapped layer as raw bits (`-0.0` and `0.0`
+    /// differ), after `load` filled `net`.
+    fn loaded_bits(
+        mapped: &MappedNetwork,
+        load: fn(&MappedNetwork, &mut Network) -> Result<(), FttError>,
+    ) -> Vec<Vec<u32>> {
+        let mut net = mlp();
+        load(mapped, &mut net).unwrap();
+        mapped
+            .layers()
+            .iter()
+            .map(|l| {
+                let params = net.layer_params_mut(l.layer_index).unwrap();
+                params.weights.iter().map(|w| w.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    /// The mirror, the reload that copies it and the plane-walk oracle all
+    /// hold, bit for bit, what the per-cell reference reads off the chip.
+    fn assert_mirror_coherent(mapped: &MappedNetwork, context: &str) {
+        let copied = loaded_bits(mapped, MappedNetwork::load_effective_weights);
+        let walked = loaded_bits(mapped, MappedNetwork::load_effective_weights_from_planes);
+        assert_eq!(copied, walked, "reload vs plane walk after {context}");
+        let ts = mapped.config.tile_size;
+        for (layer, copied) in mapped.layers().iter().zip(&copied) {
+            let mirror: Vec<u32> = layer.effective.iter().map(|w| w.to_bits()).collect();
+            assert_eq!(&mirror, copied, "mirror vs reload after {context}");
+            for r in 0..layer.rows {
+                for c in 0..layer.cols {
+                    let reference = layer.effective(mapped.chip(), r, c, ts) as f32;
+                    assert_eq!(
+                        copied[r * layer.cols + c],
+                        reference.to_bits(),
+                        "({r},{c}) of layer {} after {context}",
+                        layer.weight_layer
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn plane_backed_load_matches_per_cell_effective() {
         use crate::config::WeightCoding;
-        // The bulk plane copy must reproduce the per-cell reference exactly,
-        // for both codings, across tile boundaries, with faults present.
+        // The mirror and the plane walk must reproduce the per-cell
+        // reference exactly, for both codings, across tile boundaries,
+        // with faults present.
         for coding in [WeightCoding::Unipolar, WeightCoding::Differential] {
             let mut net = mlp();
             let mut config = MappingConfig::new(MappingScope::EntireNetwork)
@@ -1326,24 +1542,7 @@ mod tests {
                 .with_seed(21);
             config.tile_size = 4; // force tiling
             let mapped = MappedNetwork::from_network(&mut net, config).unwrap();
-            mapped.load_effective_weights(&mut net).unwrap();
-            for layer in mapped.layers() {
-                let loaded: Vec<f32> = net
-                    .layer_params_mut(layer.layer_index)
-                    .unwrap()
-                    .weights
-                    .to_vec();
-                for r in 0..layer.rows {
-                    for c in 0..layer.cols {
-                        let reference = layer.effective(mapped.chip(), r, c, 4) as f32;
-                        assert_eq!(
-                            loaded[r * layer.cols + c],
-                            reference,
-                            "({r},{c}) must match bit-for-bit under {coding:?}"
-                        );
-                    }
-                }
-            }
+            assert_mirror_coherent(&mapped, &format!("mapping under {coding:?}"));
         }
     }
 
@@ -1873,6 +2072,214 @@ mod tests {
         let mut bad = good.clone();
         bad.layers[0].w_max = f64::NAN;
         assert!(MappedNetwork::restore_state(config, &bad).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_shards_that_do_not_match_the_layer_grid() {
+        use crate::config::WeightCoding;
+        // One shard per layer at the default tile size: swapping them puts
+        // a 10x4 tile under the 6x10 layer and vice versa.
+        let mut net = mlp();
+        let config = MappingConfig::new(MappingScope::EntireNetwork).with_seed(3);
+        let good = MappedNetwork::from_network(&mut net, config.clone())
+            .unwrap()
+            .export_state();
+        let mut bad = good.clone();
+        let (first, second) = bad.layers.split_at_mut(1);
+        std::mem::swap(&mut first[0].tiles, &mut second[0].tiles);
+        let err = MappedNetwork::restore_state(config.clone(), &bad);
+        assert!(matches!(err, Err(FttError::InvalidConfig(_))), "{err:?}");
+        // The same capture under another tile size is another grid.
+        let err = MappedNetwork::restore_state(config.with_tile_size(4), &good);
+        assert!(matches!(err, Err(FttError::InvalidConfig(_))), "{err:?}");
+
+        // A tiled differential mapping: 6x10 on 4-cell tiles has shards
+        // 4x4, 4x4, 4x2, 2x4, 2x4, 2x2.
+        let mut net = mlp();
+        let config = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_coding(WeightCoding::Differential)
+            .with_tile_size(4)
+            .with_seed(3);
+        let good = MappedNetwork::from_network(&mut net, config.clone())
+            .unwrap()
+            .export_state();
+        assert!(MappedNetwork::restore_state(config.clone(), &good).is_ok());
+        let corruptions: [fn(&mut MappedState); 6] = [
+            // Shards out of grid order (origins no longer match).
+            |st| st.layers[0].tiles.swap(0, 1),
+            // A 4x2 tile under a 4x4 shard, at the right origin.
+            |st| {
+                let id = st.layers[0].tiles[2].2;
+                st.layers[0].tiles[1].2 = id;
+            },
+            // A shard missing.
+            |st| {
+                st.layers[0].neg_tiles.pop();
+            },
+            // A shard's origin moved.
+            |st| st.layers[1].tiles[0].1 = 1,
+            // One tile backing two equal-sized shards.
+            |st| {
+                let id = st.layers[0].tiles[0].2;
+                st.layers[0].neg_tiles[0].2 = id;
+            },
+            // Negative shards of the other layer.
+            |st| {
+                let (first, second) = st.layers.split_at_mut(1);
+                std::mem::swap(&mut first[0].neg_tiles, &mut second[0].neg_tiles);
+            },
+        ];
+        for (k, corrupt) in corruptions.iter().enumerate() {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            let err = MappedNetwork::restore_state(config.clone(), &bad);
+            assert!(
+                matches!(err, Err(FttError::InvalidConfig(_))),
+                "corruption {k}: {err:?}"
+            );
+        }
+    }
+
+    /// A mapping of `mlp()` on `tile` × `tile` tiles that churns: write
+    /// variation, endurance short enough to wear cells out mid-batch and
+    /// mid-campaign, initial faults, and a spare pool with a retirement
+    /// threshold low enough for sparing to fire.
+    fn churning_mapping(
+        coding: crate::config::WeightCoding,
+        tile: usize,
+        seed: u64,
+    ) -> (Network, MappedNetwork) {
+        let mut net = mlp();
+        let config = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_coding(coding)
+            .with_tile_size(tile)
+            .with_variation(rram::variation::WriteVariation::new(0.03))
+            .with_endurance(EnduranceModel::new(6.0, 2.0))
+            .with_initial_fault_fraction(0.15)
+            .with_spare_tiles(16)
+            .with_retire_fault_density(0.2)
+            .with_seed(seed);
+        let mapped = MappedNetwork::from_network(&mut net, config).unwrap();
+        (net, mapped)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The effective-weight mirror stays bit-identical to the plane
+        /// walk and the per-cell reference through arbitrary sequences of
+        /// the mapping's cell-changing methods, for both codings and tile
+        /// sizes that do not divide the layers.
+        #[test]
+        fn mirror_stays_coherent_through_every_mutation(
+            seed in 0u64..1_000,
+            differential in proptest::prelude::any::<bool>(),
+            tile in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(3usize),
+                proptest::prelude::Just(4usize),
+                proptest::prelude::Just(7usize)
+            ],
+            ops in proptest::collection::vec((0u8..7, 0u64..1 << 32), 1..10),
+        ) {
+            use crate::config::WeightCoding;
+            use rand::Rng;
+            let coding = if differential { WeightCoding::Differential } else { WeightCoding::Unipolar };
+            let (mut net, mut mapped) = churning_mapping(coding, tile, seed);
+            assert_mirror_coherent(&mapped, "mapping");
+            let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
+            for (step, &(op, op_seed)) in ops.iter().enumerate() {
+                let mut rng = rram::rng::sim_rng(op_seed);
+                let context = format!("op {op} at step {step}");
+                match op {
+                    // Training writes: zeros, ±0, sign flips, values past
+                    // full scale, in ascending or arbitrary order, or every
+                    // weight of the layer.
+                    0 | 1 => {
+                        let pos = rng.gen_range(0..mapped.layers().len());
+                        let layer = &mapped.layers()[pos];
+                        let (n, w_max) = (layer.rows * layer.cols, layer.w_max as f32);
+                        let mut updates: Vec<(usize, f32)> = (0..rng.gen_range(0..3 * n))
+                            .map(|_| {
+                                let idx = rng.gen_range(0..n);
+                                let value = match rng.gen_range(0..5) {
+                                    0 => 0.0,
+                                    1 => -0.0,
+                                    2 => -layer.targets[idx],
+                                    3 => 5.0 * w_max * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
+                                    _ => rng.gen_range(-w_max..w_max),
+                                };
+                                (idx, value)
+                            })
+                            .collect();
+                        if op == 0 {
+                            updates.sort_by_key(|&(idx, _)| idx);
+                            if rng.gen_bool(0.3) {
+                                // Every weight once, like the original
+                                // method: each run covers its shard.
+                                updates.dedup_by_key(|u| u.0);
+                                let mut every: Vec<(usize, f32)> =
+                                    (0..n).map(|idx| (idx, layer.targets[idx])).collect();
+                                for &(idx, value) in &updates {
+                                    every[idx].1 = value;
+                                }
+                                updates = every;
+                            }
+                        }
+                        let mut outcomes = Vec::new();
+                        mapped.write_weights(pos, &updates, &mut outcomes).unwrap();
+                    }
+                    // Flip the sign of every stuck cell of a layer: the
+                    // cells keep their conductance, the periphery does not.
+                    2 => {
+                        let pos = rng.gen_range(0..mapped.layers().len());
+                        let layer = &mapped.layers()[pos];
+                        let w_max = layer.w_max as f32;
+                        let updates: Vec<(usize, f32)> = mapped.ground_truth()[pos]
+                            .iter_faulty()
+                            .map(|(r, c, _)| {
+                                let idx = r * layer.cols + c;
+                                (idx, -f32::from(layer.signs[idx]) * 0.5 * w_max)
+                            })
+                            .collect();
+                        let mut outcomes = Vec::new();
+                        mapped.write_weights(pos, &updates, &mut outcomes).unwrap();
+                    }
+                    3 => {
+                        mapped.detect(&detector).unwrap();
+                    }
+                    4 => {
+                        mapped.detect_incremental(&detector).unwrap();
+                    }
+                    5 => {
+                        mapped.load_target_weights(&mut net).unwrap();
+                        for li in net.weight_layer_indices() {
+                            for w in net.layer_params_mut(li).unwrap().weights.iter_mut() {
+                                if rng.gen_bool(0.3) {
+                                    *w = match rng.gen_range(0..3) {
+                                        0 => 0.0,
+                                        1 => -*w,
+                                        _ => *w * 5.0,
+                                    };
+                                }
+                            }
+                        }
+                        let epsilon = if rng.gen_bool(0.5) { 1e-6 } else { 0.0 };
+                        mapped.reprogram_from(&mut net, epsilon).unwrap();
+                    }
+                    _ => {
+                        if rng.gen_bool(0.5) {
+                            let mut detections = mapped.detect(&detector).unwrap();
+                            assert_mirror_coherent(&mapped, &context);
+                            mapped.apply_sparing(&detector, &mut detections).unwrap();
+                        } else {
+                            let state = mapped.export_state();
+                            mapped = MappedNetwork::restore_state(mapped.config.clone(), &state).unwrap();
+                        }
+                    }
+                }
+                assert_mirror_coherent(&mapped, &context);
+            }
+        }
     }
 
     #[test]

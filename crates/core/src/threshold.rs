@@ -77,8 +77,6 @@ impl ThresholdPolicy {
 
 /// Entries classified per scan block: one bit of a `u64` each.
 const BLOCK: usize = 64;
-/// The pruned flags of a block with no frozen mask.
-const UNPRUNED: [bool; BLOCK] = [false; BLOCK];
 /// Bits of an `f32` other than the sign.
 const ABS_MASK: u32 = 0x7fff_ffff;
 /// Abs bits of `f32::INFINITY`: every smaller abs pattern is finite, and
@@ -126,6 +124,43 @@ fn max_finite_abs_bits(grads: &[f32]) -> u32 {
     }
     let tail = chunks.remainder().iter().map(finite_abs);
     lanes.into_iter().chain(tail).fold(0, i32::max) as u32
+}
+
+/// Packs up to [`BLOCK`] flags, each 0 or 1, into a bit mask: flag `i`
+/// becomes bit `i`, missing flags read 0. Each 8 flags, read as one
+/// little-endian `u64`, hold flag `j` in bit `8j`; the multiply by
+/// `Σ 2^(7j+7)` adds every flag into bit `56 + j` with no carries (all
+/// other partial products land on distinct bits below 56 or above 63),
+/// so the top byte is the packed flags.
+fn pack_flags(flags: &[u8; BLOCK]) -> u64 {
+    let mut bits = 0u64;
+    for (k, bytes) in flags.as_chunks::<8>().0.iter().enumerate() {
+        let byte = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        bits |= byte << (8 * k);
+    }
+    bits
+}
+
+/// One scan block's masks: bit `i` of the first is set when entry `i`'s
+/// gradient abs bits fall below `skip_below`, of the second when the entry
+/// is pruned. The flags are computed as bytes in loops the compiler
+/// vectorises (abs patterns and `skip_below` stay below 2^31, so they
+/// compare as `i32`, as in [`max_finite_abs_bits`]), then packed.
+fn block_masks(grads: &[f32], pruned: Option<&[bool]>, skip_below: u32) -> (u64, u64) {
+    let skip_below = skip_below as i32;
+    let mut flags = [0u8; BLOCK];
+    for (f, g) in flags.iter_mut().zip(grads) {
+        *f = u8::from(((g.to_bits() & ABS_MASK) as i32) < skip_below);
+    }
+    let below = pack_flags(&flags);
+    let Some(pruned) = pruned else {
+        return (below, 0);
+    };
+    flags = [0u8; BLOCK];
+    for (f, &p) in flags.iter_mut().zip(pruned) {
+        *f = u8::from(p);
+    }
+    (below, pack_flags(&flags))
 }
 
 /// The frozen mask's layer for network layer `layer_index`, if any.
@@ -343,15 +378,12 @@ impl ThresholdTrainer {
             let grads = params.weight_grad;
             for (block, chunk) in grads.chunks(BLOCK).enumerate() {
                 let base = block * BLOCK;
-                let pruned_chunk = pruned.map_or(&UNPRUNED[..chunk.len()], |p| {
-                    &p[base..base + chunk.len()] // lengths checked in pass 1
-                });
-                let mut todo = 0u64;
-                for (bit, (g, &pr)) in chunk.iter().zip(pruned_chunk).enumerate() {
-                    let below = g.to_bits() & ABS_MASK < skip_below;
-                    report.writes_skipped += u64::from(below & !pr);
-                    todo |= u64::from(!(below | pr)) << bit;
-                }
+                // Lengths checked in pass 1.
+                let pruned_chunk = pruned.map(|p| &p[base..base + chunk.len()]);
+                let (below, pruned_bits) = block_masks(chunk, pruned_chunk, skip_below);
+                let valid = u64::MAX >> (BLOCK - chunk.len());
+                report.writes_skipped += u64::from((below & !pruned_bits).count_ones());
+                let mut todo = !(below | pruned_bits) & valid;
                 while todo != 0 {
                     let idx = base + todo.trailing_zeros() as usize;
                     todo &= todo - 1;

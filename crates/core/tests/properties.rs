@@ -566,3 +566,67 @@ proptest! {
         }
     }
 }
+
+/// One-layer shapes whose weight counts leave 1, 7 or 63 entries in the
+/// scan's last 64-entry block, or fill no block at all: 1, 7, 63, 65, 127,
+/// 129 and 135 weights.
+const RAGGED_SHAPES: [(usize, usize); 7] =
+    [(1, 1), (1, 7), (7, 9), (5, 13), (1, 127), (3, 43), (9, 15)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The packed block scan flags, skips and writes exactly what the
+    /// scalar scan does when a layer's last block is ragged, under random
+    /// frozen masks, on gradients full of special values.
+    #[test]
+    fn packed_scan_matches_scalar_scan_on_ragged_blocks(
+        seed in 0u64..200,
+        shape_pick in 0usize..RAGGED_SHAPES.len(),
+        xs in proptest::collection::vec(0usize..SPECIAL_X.len(), 2 * 9),
+        gs in proptest::collection::vec(0usize..SPECIAL_G.len(), 2 * 127),
+        lr_pick in 0usize..SPECIAL_LR.len(),
+        policy_pick in 0usize..SPECIAL_POLICIES.len(),
+        frozen in proptest::collection::vec(any::<bool>(), 135),
+        masked in any::<bool>(),
+    ) {
+        let (rows, cols) = RAGGED_SHAPES[shape_pick];
+        let (lr, policy) = (SPECIAL_LR[lr_pick], SPECIAL_POLICIES[policy_pick]);
+        let one_layer = || {
+            let mut rng = init_rng(seed);
+            let mut net = Network::new();
+            net.push(Dense::new(rows, cols, &mut rng));
+            net
+        };
+        let (mut net_a, mut net_b) = (one_layer(), one_layer());
+        let mask = masked.then(|| {
+            nn::pruning::PruneMask::from_layers(vec![nn::pruning::LayerMask {
+                layer_index: 0,
+                shape: (rows, cols),
+                pruned: frozen[..rows * cols].to_vec(),
+            }])
+        });
+        let config = tiled_config(seed, seed % 2 == 0);
+        let mut a = MappedNetwork::from_network(&mut net_a, config.clone()).unwrap();
+        let mut b = MappedNetwork::from_network(&mut net_b, config).unwrap();
+        let mut trainer = ThresholdTrainer::new(policy, &a);
+        let mut ledgers = trainer.export_ledgers();
+        for step in 0..2 {
+            let x: Vec<f32> = xs[step * 9..][..rows].iter().map(|&i| SPECIAL_X[i]).collect();
+            let g: Vec<f32> = gs[step * 127..][..cols].iter().map(|&i| SPECIAL_G[i]).collect();
+            for (net, mapped) in [(&mut net_a, &a), (&mut net_b, &b)] {
+                mapped.load_effective_weights(net).unwrap();
+                net.forward_train(&Tensor::from_vec(vec![1, rows], x.clone()));
+                net.backward(&Tensor::from_vec(vec![1, cols], g.clone()));
+            }
+            let got = trainer
+                .apply_with_mask(&mut a, &mut net_a, lr, mask.as_ref())
+                .unwrap();
+            let want = scalar_scan_apply(policy, &mut ledgers, &mut b, &mut net_b, lr, mask.as_ref());
+            prop_assert_eq!(got.max_abs_dw.to_bits(), want.max_abs_dw.to_bits());
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&trainer.export_ledgers(), &ledgers);
+            prop_assert_eq!(a.export_state(), b.export_state());
+        }
+    }
+}
